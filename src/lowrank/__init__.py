@@ -1,4 +1,4 @@
-"""Dense low-rank matrix recovery via bilinear factorization ADMM."""
+"""Low-rank matrix recovery via bilinear factorization ADMM."""
 
 from .config import IterationRecord, SolveResult, SolverConfig
 from .cpcp import CpcpState, solve_cpcp

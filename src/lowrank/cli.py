@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 I/O failure, 2 invalid flags or configuration,
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -21,17 +22,12 @@ from .measurements import draw_random_subspace, load_mask, save_mask
 from .metrics import auc, relative_error, rmse
 from .rmc import solve_mc, solve_rmc, solve_rpca
 
+# Flag name -> SolverConfig's default; the --rank flag sets field d, and
+# max_iter is chosen per solver.
 SOLVER_DEFAULTS = {
-    "lam": "auto",
-    "rank": 10,
-    "rho": 1.1,
-    "alpha0": "auto",
-    "alpha_max": 1e10,
-    "tol": 1e-4,
-    "max_iter": None,   # per-solver default
-    "adjust_rank": False,
-    "seed": 0,
-}
+    "rank" if f.name == "d" else f.name: f.default
+    for f in dataclasses.fields(SolverConfig)
+} | {"max_iter": None}
 
 
 def _auto_or_float(text):
@@ -124,7 +120,9 @@ def _build_solver_config(args, default_max_iter):
         if name in file_values:
             raw = file_values[name]
             if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
+                if raw.lower() not in ("true", "false"):
+                    raise ValueError(f"{name} must be true or false, got {raw!r}")
+                return raw.lower() == "true"
             return cast(raw)
         default = SOLVER_DEFAULTS[name]
         return default_max_iter if name == "max_iter" else default

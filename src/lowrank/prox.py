@@ -27,4 +27,4 @@ def soft_threshold(a, tau):
     if tau < 0:
         raise ValueError(f"soft threshold must be nonnegative, got {tau}")
     a = np.asarray(a, dtype=np.float64)
-    return np.sign(a) * np.maximum(np.abs(a) - tau, 0.0)
+    return a - np.clip(a, -tau, tau)

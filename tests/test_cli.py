@@ -134,6 +134,21 @@ class TestSolveCommands:
         assert code == 0
         assert load_matrix(est / "U.txt").shape == (20, 4)
 
+    def test_config_bool_must_be_true_or_false(self, tmp_path, capsys):
+        truth = synth(tmp_path, rows=20, cols=20, rank=2)
+        config = tmp_path / "solver.cfg"
+        config.write_text("rank = 4\nadjust_rank = ture\n")
+        code = run("rpca", "--data", str(truth / "d_obs.txt"),
+                   "--config", str(config), "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert "adjust_rank" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+        config.write_text("rank = 4\nadjust_rank = TRUE\n")
+        code = run("rpca", "--data", str(truth / "d_obs.txt"),
+                   "--config", str(config), "--out-dir", str(tmp_path / "est"))
+        assert code == 0
+
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code = run("rpca", "--data", str(tmp_path / "nope.txt"),
                    "--out-dir", str(tmp_path / "est"))

@@ -59,20 +59,21 @@ class TestSolveRmc:
             assert cur == min(cfg.rho * prev, cfg.alpha_max)
 
     def test_complement_fill_in_rule(self):
-        # first iteration, zero multiplier: off the mask the sparse part
-        # must equal the observed matrix minus the current product
+        # at every iteration, off the mask the sparse part must equal the
+        # observed matrix minus the current product
         p = planted(m=12, n=10, seed=6)
-        grabbed = {}
-
-        def grab(k, u, v, s, y):
-            if k == 1:
-                grabbed.update(u=u.copy(), v=v.copy(), s=s.copy())
-
-        solve_rmc(p.d_obs, p.mask, SolverConfig(d=4, alpha0=1.0, max_iter=1),
-                  iter_callback=grab)
         off = ~p.mask.marker
-        expected = (p.d_obs - grabbed["u"] @ grabbed["v"].T)[off]
-        np.testing.assert_allclose(grabbed["s"][off], expected, atol=1e-12)
+        seen = []
+
+        def check(k, u, v, s, y):
+            expected = (p.d_obs - u @ v.T)[off]
+            np.testing.assert_allclose(s[off], expected, atol=1e-12)
+            seen.append(k)
+
+        res = solve_rmc(p.d_obs, p.mask, SolverConfig(d=4, alpha0=1.0),
+                        iter_callback=check)
+        assert seen == list(range(1, res.iterations + 1))
+        assert res.iterations > 1
 
     def test_objective_trace_finite(self):
         p = planted(seed=7)

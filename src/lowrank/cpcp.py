@@ -69,6 +69,9 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     s = np.zeros((m, n))
     t = u @ v.T
     dual = np.zeros(q.dim)
+    # forward(t + s) at the current iterate, shared by the next iteration's
+    # product gradient, the dual step and the residual.
+    fit = q.forward(t + s)
     trace = []
     termination = "max_iter_reached"
 
@@ -79,7 +82,7 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         # constant alpha * ||gram||); the raw 1/tau step diverges once the
         # penalty grows past the operator norm.
         step = tau / alpha
-        grad_t = data_fit_gradient(t, s, y_meas, dual, alpha, q)
+        grad_t = alpha * q.adjoint(fit - y_meas - dual / alpha)
         b = t - step * grad_t
         u = orthonormal_factor(b @ v, u, "qr")
         # SVT of the d x n step target, applied in its n x d orientation
@@ -88,9 +91,10 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         t = u @ v.T
         grad_s = data_fit_gradient(s, t, y_meas, dual, alpha, q)
         s = soft_threshold(s - step * grad_s, 1.0 / alpha)
-        dual = dual + alpha * (y_meas - q.forward(t + s))
+        fit = q.forward(t + s)
+        dual = dual + alpha * (y_meas - fit)
 
-        residual = float(np.linalg.norm(y_meas - q.forward(t + s)))
+        residual = float(np.linalg.norm(y_meas - fit))
         objective = float(np.abs(s).sum()) + lam * nuclear_norm(v)
         denom = float(np.linalg.norm(t_prev) ** 2 + np.linalg.norm(s_prev) ** 2)
         numer = float(

@@ -162,10 +162,10 @@ def save_matrix(path, a):
     if a.ndim != 2:
         raise ValueError("save_matrix expects a 2-D array")
     rows, cols = a.shape
+    row_format = " ".join(["%.17g"] * cols) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{rows} {cols}\n")
-        for row in a:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in a)
 
 
 def load_matrix(path):

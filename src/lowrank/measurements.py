@@ -27,16 +27,24 @@ class ObservationMask:
 
     @classmethod
     def from_indices(cls, rows, cols, pairs):
-        marker = np.zeros((rows, cols), dtype=bool)
-        seen = set()
-        for i, j in pairs:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"mask index ({i}, {j}) out of range {rows}x{cols}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate mask index ({i}, {j})")
-            seen.add((i, j))
-            marker[i, j] = True
-        return cls(marker)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        i, j = pairs[:, 0], pairs[:, 1]
+        outside = (i < 0) | (i >= rows) | (j < 0) | (j >= cols)
+        if outside.any():
+            bad_i, bad_j = pairs[np.argmax(outside)]
+            raise ValueError(
+                f"mask index ({bad_i}, {bad_j}) out of range {rows}x{cols}"
+            )
+        flat = i * cols + j
+        marker = np.zeros(rows * cols, dtype=bool)
+        marker[flat] = True
+        if np.count_nonzero(marker) != flat.size:
+            _, first = np.unique(flat, return_index=True)
+            repeat = np.ones(flat.size, dtype=bool)
+            repeat[first] = False
+            dup_i, dup_j = pairs[np.argmax(repeat)]
+            raise ValueError(f"duplicate mask index ({dup_i}, {dup_j})")
+        return cls(marker.reshape(rows, cols))
 
     @classmethod
     def full(cls, rows, cols):
@@ -74,11 +82,12 @@ def mask_project(a, mask):
 
 
 def save_mask(path, mask):
-    lines = [f"{mask.rows} {mask.cols}"]
-    for i, j in mask.indices:
-        lines.append(f"{i} {j}")
+    """Text format: "rows cols" header then one 0-based "i j" pair per line
+    in row-major order."""
+    pairs = mask.indices
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{mask.rows} {mask.cols}\n")
+        fh.write("%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist()))
 
 
 def load_mask(path):
@@ -87,15 +96,26 @@ def load_mask(path):
         if len(header) != 2:
             raise ValueError(f"{path}: bad mask header")
         rows, cols = int(header[0]), int(header[1])
-        pairs = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'i j'")
-            pairs.append((int(parts[0]), int(parts[1])))
-    return ObservationMask.from_indices(rows, cols, pairs)
+        # Skip the blank lines before the first pair: loadtxt warns on input
+        # without data, and a header-only file is an empty mask.
+        start = fh.tell()
+        while (line := fh.readline()) and not line.strip():
+            start = fh.tell()
+        pairs = np.empty((0, 2), dtype=np.int64)
+        if line:
+            fh.seek(start)
+            try:
+                pairs = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+    if pairs.shape[1] != 2:
+        raise ValueError(
+            f"{path}: expected 'i j' per line, got {pairs.shape[1]} fields"
+        )
+    try:
+        return ObservationMask.from_indices(rows, cols, pairs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -71,25 +71,25 @@ def adjust_rank_once(v, current_d):
     """Detect a dominant jump in the spectrum of V^T V and return the new rank.
 
     Eigenvalues of the d x d Gram matrix are sorted nonincreasing, the
-    quotient sequence formed over the positive part of the spectrum, and the
-    working rank cut at the largest quotient when it dominates the rest by
-    RANK_ADJUST_GAP. The exactly zero tail left behind by the thresholded
-    factor update is excluded: it marks the current numerical rank, not the
-    spectral jump this heuristic looks for, and keeping it would make the
-    detector fire on the first iteration with any rank-deficient factor.
+    quotient sequence formed, and the working rank cut at the largest
+    quotient when it dominates the mean of the others by RANK_ADJUST_GAP.
+    The test runs only while V keeps all d directions. A zero tail left by
+    the thresholded factor update marks the current numerical rank, not the
+    spectral jump this heuristic looks for, and the quotients left without
+    it are too few to judge: under the automatic penalty V keeps two
+    directions at the first check, and their single quotient, with no rest
+    to dominate, would cut the rank to 1. For the same reason d must be at
+    least 3.
     """
-    if current_d < 2:
+    if current_d < 3:
         return current_d
     eigvals = np.linalg.eigvalsh(v.T @ v)[::-1]
-    positive = eigvals[eigvals > max(eigvals[0], 0.0) * 1e-12]
-    if positive.size < 2:
+    if eigvals[-1] <= eigvals[0] * 1e-12:
         return current_d
-    quotients = positive[:-1] / positive[1:]
+    quotients = eigvals[:-1] / eigvals[1:]
     r_hat = int(np.argmax(quotients))
     others = quotients.sum() - quotients[r_hat]
-    if others == 0.0:
-        return r_hat + 1
-    gap = (positive.size - 1) * quotients[r_hat] / others
+    gap = (current_d - 1) * quotients[r_hat] / others
     if gap >= RANK_ADJUST_GAP:
         return r_hat + 1
     return current_d

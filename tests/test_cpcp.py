@@ -67,6 +67,47 @@ class TestSolveCpcp:
         assert all(t == pytest.approx(1.0, rel=1e-5) for t in taus)
 
 
+class CountingOperator:
+    """Wraps a subspace operator and counts the solver's forward calls.
+
+    ``project`` goes to the wrapped operator, so the operator-norm estimate
+    made before the loop is not counted.
+    """
+
+    def __init__(self, q):
+        self.q = q
+        self.forward_calls = 0
+        self.ambient_rows, self.ambient_cols = q.ambient_rows, q.ambient_cols
+        self.dim = q.dim
+        self.adjoint = q.adjoint
+        self.project = q.project
+
+    def forward(self, a):
+        self.forward_calls += 1
+        return self.q.forward(a)
+
+
+class TestForwardReuse:
+    def test_two_forward_calls_per_iteration(self):
+        _, q, y = measured_problem(seed=9)
+        counting = CountingOperator(q)
+        calls = []
+        res = solve_cpcp(y, counting, SolverConfig(lam=2.0, d=4, max_iter=20),
+                         iter_callback=lambda st: calls.append(
+                             counting.forward_calls))
+        assert calls == [1 + 2 * k for k in range(1, res.iterations + 1)]
+
+    def test_product_gradient_uses_previous_iterate(self):
+        _, q, y = measured_problem(seed=10)
+        states = []
+        solve_cpcp(y, q, SolverConfig(lam=2.0, d=4, max_iter=20),
+                   iter_callback=states.append)
+        for st in states:
+            expected = data_fit_gradient(st.t_prev, st.s_prev, y,
+                                         st.dual_prev, st.alpha, q)
+            assert np.array_equal(st.grad_t, expected)
+
+
 class TestIterationInvariants:
     def collect(self, seed=7, iters=25):
         prob, q, y = measured_problem(seed=seed)

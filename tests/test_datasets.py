@@ -143,6 +143,25 @@ class TestMatrixIo:
         save_matrix(path, a)
         assert np.array_equal(load_matrix(path), a)
 
+    def test_golden_bytes(self, tmp_path):
+        a = np.array([[-0.0, 5e-324, np.inf],
+                      [np.nan, 1.0 / 3.0, 1e300]])
+        path = tmp_path / "g.txt"
+        save_matrix(path, a)
+        assert path.read_bytes() == (
+            b"2 3\n"
+            b"-0 4.9406564584124654e-324 inf\n"
+            b"nan 0.33333333333333331 1.0000000000000001e+300\n"
+        )
+
+    def test_special_values_roundtrip(self, tmp_path):
+        a = np.array([[-0.0, 5e-324, -np.inf, np.nan, 2.5e-308]])
+        path = tmp_path / "s.txt"
+        save_matrix(path, a)
+        back = load_matrix(path)
+        assert np.array_equal(back, a, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(a))
+
     def test_header_records_shape(self, tmp_path):
         path = tmp_path / "b.txt"
         save_matrix(path, np.zeros((2, 3)))

@@ -110,6 +110,23 @@ class TestRankAdjustment:
         v = self.make_v([4.0, 3.0, 2.0, 0.0, 0.0])
         assert adjust_rank_once(v, 5) == 5
 
+    def test_partial_spectrum_unchanged(self):
+        # under the automatic penalty V keeps two of four directions early
+        # on; a single quotient is no spectral jump
+        v = self.make_v([10.0, 1e-3, 0.0, 0.0])
+        assert adjust_rank_once(v, 4) == 4
+
+    def test_two_directions_unchanged(self):
+        # one quotient leaves no rest for it to dominate
+        assert adjust_rank_once(self.make_v([1.0, 1.0]), 2) == 2
+
+    def test_solver_with_auto_penalty_keeps_accuracy(self):
+        p = generate_planted(100, 100, 3, spike_frac=0.1, obs_frac=0.7,
+                             seed=11)
+        cfg = SolverConfig(lam=np.sqrt(100 * 0.7), d=6, adjust_rank=True)
+        res = solve_rmc(p.d_obs, p.mask, cfg)
+        assert relative_error(res.low_rank(), p.l0) <= 1e-3
+
     def test_solver_adjusts_at_most_once(self):
         p = generate_planted(80, 80, 4, spike_frac=0.1, obs_frac=0.9, seed=3)
         res = solve_rmc(p.d_obs, p.mask,

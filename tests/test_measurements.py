@@ -22,6 +22,16 @@ class TestObservationMask:
         with pytest.raises(ValueError, match="duplicate"):
             ObservationMask.from_indices(2, 2, [(0, 0), (0, 0)])
 
+    def test_first_offending_pair_reported(self):
+        with pytest.raises(ValueError, match=r"\(3, 0\) out of range"):
+            ObservationMask.from_indices(2, 2, [(0, 0), (3, 0), (0, 5)])
+        with pytest.raises(ValueError, match=r"duplicate mask index \(1, 0\)"):
+            ObservationMask.from_indices(2, 2, [(1, 0), (0, 1), (1, 0),
+                                                (0, 1)])
+
+    def test_empty_pairs(self):
+        assert ObservationMask.from_indices(2, 2, []).num_observed == 0
+
     def test_complement_partitions(self):
         mask = ObservationMask.from_indices(2, 3, [(0, 1), (1, 2)])
         total = mask.marker | mask.complement().marker
@@ -33,6 +43,63 @@ class TestObservationMask:
         path = tmp_path / "mask.txt"
         save_mask(path, mask)
         np.testing.assert_array_equal(load_mask(path).marker, mask.marker)
+
+
+class TestMaskFile:
+    def write(self, tmp_path, text):
+        path = tmp_path / "mask.txt"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("text", [
+        "2 2\n0 0\n1\n",
+        "2 2\n1\n",
+        "2 2\n0 0\n0 1 1\n",
+        "2 2\n0 1 1\n",
+        "2 2\n0\n1\n",
+        "2 2\n0 1 1 0\n",
+        "2 2\n0 x\n",
+        "2 2\n0 1.5\n",
+        "2 2\n# pairs\n0 0\n",
+        "2 2\n0 0 # first\n",
+    ])
+    def test_malformed_line_names_file(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError) as info:
+            load_mask(path)
+        assert str(path) in str(info.value)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = self.write(tmp_path, "2 3\n\n   \n0 1\n\n1 2\n\n")
+        mask = load_mask(path)
+        np.testing.assert_array_equal(
+            mask.marker, [[False, True, False], [False, False, True]]
+        )
+
+    @pytest.mark.parametrize("text", ["2 3\n", "2 3\n\n \n"])
+    def test_header_only_is_empty_mask(self, tmp_path, text):
+        mask = load_mask(self.write(tmp_path, text))
+        assert mask.marker.shape == (2, 3)
+        assert mask.num_observed == 0
+
+    @pytest.mark.parametrize("pair", ["2 0", "0 3", "-1 0"])
+    def test_out_of_range_pair_rejected(self, tmp_path, pair):
+        path = self.write(tmp_path, f"2 3\n0 0\n{pair}\n")
+        with pytest.raises(ValueError, match="out of range"):
+            load_mask(path)
+
+    def test_duplicate_pair_rejected(self, tmp_path):
+        path = self.write(tmp_path, "2 3\n0 1\n1 1\n0 1\n")
+        with pytest.raises(ValueError, match=r"duplicate mask index \(0, 1\)"):
+            load_mask(path)
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "mask.txt"
+        save_mask(path, ObservationMask.from_indices(2, 3, [(1, 2), (0, 1),
+                                                            (1, 0)]))
+        assert path.read_bytes() == b"2 3\n0 1\n1 0\n1 2\n"
+        save_mask(path, ObservationMask(np.zeros((2, 3), dtype=bool)))
+        assert path.read_bytes() == b"2 3\n"
 
 
 class TestMaskProject:

@@ -43,9 +43,10 @@ def generate_planted(m, n, r, spike_frac, magnitude=1.0, obs_frac=1.0, seed=0):
     while True:
         left = rng.standard_normal((m, r))
         right = rng.standard_normal((n, r))
-        l0 = left @ right.T
-        if np.linalg.matrix_rank(l0) == r:
+        # left @ right.T has rank r exactly when both factors do
+        if np.linalg.matrix_rank(left) == r and np.linalg.matrix_rank(right) == r:
             break
+    l0 = left @ right.T
     support = rng.random((m, n)) < spike_frac
     signs = rng.choice([-1.0, 1.0], size=(m, n))
     s0 = np.where(support, magnitude * signs, 0.0)

@@ -7,6 +7,7 @@ pure and operate on plain float64 numpy arrays (row-major).
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 # Singular values below RANK_CUTOFF * sigma_max are treated as zero.
 RANK_CUTOFF = 1e-12
@@ -61,10 +62,13 @@ def qr_thin(a):
     m, d = a.shape
     if m < d:
         raise ValueError(f"qr_thin requires rows >= cols, got {m}x{d}")
-    q, r = np.linalg.qr(a, mode="reduced")
+    # check_matrix has already rejected non-finite entries
+    q, r = scipy.linalg.qr(a, mode="economic", check_finite=False)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    return QrFactors(q * signs, signs[:, None] * r)
+    # LAPACK returns Q column-major; keep it row-major like every other array
+    # here, so the products downstream keep their layout and rounding.
+    return QrFactors(np.multiply(q, signs, order="C"), signs[:, None] * r)
 
 
 def svd_thin(a):

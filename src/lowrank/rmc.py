@@ -10,17 +10,22 @@ dominant spectral jump.
 
 Off Omega the multiplier stays zero and the target P equals the previous
 product U V^T, so P differs from that product only on Omega. The two products
-with P are therefore a rank-d term plus a product with one m x n buffer that
-is nonzero only on Omega. An iteration costs three m x n GEMMs of width d
-(that buffer times V, its transpose times U, and U V^T, read on Omega),
-O(|Omega|) elementwise work on vectors, and two reused m x n buffers; the
-dense sparse part and multiplier are formed only for ``iter_callback`` and
-for the result.
+with P are therefore a rank-d term plus a product with a matrix E that is
+zero off Omega (the sparse-plus-low-rank products of Mazumder, Hastie and
+Tibshirani's Soft-Impute). Below an observed fraction |Omega| / mn of
+SPARSE_DENSITY, E is a CSR array whose values are the Omega vector itself:
+its two products cost O(|Omega| d), and an iteration adds one m x n GEMM of
+width d for U V^T, read on Omega. Above the cut, E is a dense m x n buffer
+and an iteration costs three m x n GEMMs of width d (E V, E^T U and U V^T).
+Either way the rest is O(|Omega|) elementwise work on vectors held in
+buffers allocated once; the dense sparse part and multiplier are formed only
+for ``iter_callback`` and for the result.
 """
 
 import math
 
 import numpy as np
+from scipy.sparse import csr_array
 
 # perfbench/tracing.py patches these names in this module, mask_project
 # included, so they stay importable from it.
@@ -33,6 +38,12 @@ from .prox import soft_threshold, svt
 # the orthonormal factor is carried over unchanged (both update schemes must
 # handle this degenerate case identically for their iterates to match).
 _DEGENERATE = 1e-300
+
+# Below this observed fraction |Omega| / mn the two products with the
+# Omega-supported matrix E are taken in CSR form; above it dense BLAS on an
+# m x n buffer is faster. One BLAS thread, d = 10-20, 500^2-1000^2: the two
+# cost the same at 0.2-0.35.
+SPARSE_DENSITY = 0.25
 
 # The once-only rank adjustment is first evaluated at this iteration.
 RANK_ADJUST_START = 3
@@ -108,6 +119,31 @@ def _scatter(out, flat, values):
     return out
 
 
+def _omega_matrix(marker, flat, csr):
+    """An m x n matrix E that is zero off Omega, kept with its Omega values.
+
+    Returns ``(values, load)``: the caller writes E at the flat indices
+    ``flat`` into ``values``, and ``load()`` returns E and E^T ready for
+    products. With ``csr``, E is a CSR array whose ``data`` is ``values``
+    and E^T a CSC view of the same array, so loading is free and each product
+    costs O(|Omega| d). Otherwise E is a dense m x n buffer, zeroed once, that
+    ``load`` writes at Omega, and each product is a dense GEMM.
+    """
+    m, n = marker.shape
+    if csr:
+        # flat is row-major, so it lists Omega in CSR order
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(marker, axis=1), out=indptr[1:])
+        e = csr_array((np.zeros(flat.size), flat % n, indptr), shape=(m, n))
+        e_t = e.T
+        if not np.shares_memory(e_t.data, e.data):
+            raise RuntimeError("the CSC transpose does not share the CSR values")
+        return e.data, lambda: (e, e_t)
+    e = np.zeros((m, n))
+    values = np.zeros(flat.size)
+    return values, lambda: (_scatter(e, flat, values), e.T)
+
+
 def _product_change(u, v, u_prev, v_prev):
     """||U V^T - U_prev V_prev^T||_F for orthonormal U, in O((m + n) d^2).
 
@@ -131,11 +167,17 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
     Z equals the product and the multiplier Y is zero, so the residual Z - L
     and the dual step live on Omega too. What differs is passed in:
 
-    - ``update(data, low, y, alpha)``: the new Z on Omega, given L on Omega;
-    - ``data_term(data, z, low)``: the data part of the objective;
+    - ``update(data, low, y, scaled, alpha, out)``: write the new Z on Omega
+      into ``out``, given L on Omega, Y and ``scaled`` = Y / alpha;
+    - ``data_term(data, z, low, work)``: the data part of the objective,
+      with ``work`` as scratch space;
     - ``sparse(data, z)``: the sparse part S = D - Z, or None when the solver
       has none; the callback then receives the auxiliary matrix Z instead;
     - ``stop(u, v, u_prev, v_prev)``: a stopping test besides the residual.
+
+    The Omega vectors live in buffers allocated once, so without
+    ``iter_callback`` an iteration allocates none of length |Omega| outside
+    ``soft_threshold``.
     """
     cfg.validate()
     d_full = check_matrix(d_obs, "observed data")
@@ -161,26 +203,36 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
     # Factors of the product that P equals off Omega; the rank adjustment
     # truncates U and V but not these.
     u_prev, v_prev = u, v
+    # E = P - U_prev V_prev^T is zero off Omega; ``values`` holds it on Omega
+    values, load = _omega_matrix(mask.marker, flat,
+                                 flat.size < SPARSE_DENSITY * m * n)
     z = data.copy()
     y = np.zeros_like(data)
     low = np.zeros_like(data)      # U_prev V_prev^T on Omega
-    e = np.zeros((m, n))           # P - U_prev V_prev^T, written on Omega only
+    scaled = np.empty_like(data)   # Y / alpha
+    gap = np.empty_like(data)      # Z - U V^T on Omega
+    work = np.empty_like(data)
     product = np.empty((m, n))     # U V^T
     adjusted = False
     trace = []
     termination = "max_iter_reached"
 
     for k in range(1, cfg.max_iter + 1):
-        _scatter(e, flat, z + y / alpha - low)
+        np.divide(y, alpha, out=scaled)
+        np.add(z, scaled, out=values)
+        values -= low
+        e, e_t = load()
         u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u, u_scheme)
-        v = svt(v_prev @ (u_prev.T @ u) + e.T @ u, lam / alpha)
+        v = svt(v_prev @ (u_prev.T @ u) + e_t @ u, lam / alpha)
         np.matmul(u, v.T, out=product)
-        low = product.reshape(-1)[flat]
-        z = update(data, low, y, alpha)
-        gap = z - low
-        y = y + alpha * gap
+        # flat is in range, and mode="clip" lets take write out unbuffered
+        np.take(product.reshape(-1), flat, out=low, mode="clip")
+        update(data, low, y, scaled, alpha, z)
+        np.subtract(z, low, out=gap)
+        np.multiply(gap, alpha, out=work)
+        y += work
         residual = float(np.linalg.norm(gap))
-        objective = data_term(data, z, low) + lam * nuclear_norm(v)
+        objective = data_term(data, z, low, work) + lam * nuclear_norm(v)
         trace.append(IterationRecord(k, residual, objective, alpha, d))
         if iter_callback is not None:
             if sparse is None:
@@ -220,11 +272,14 @@ def solve_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
     m x n matrices: off the mask S is the exact fill-in -U V^T and Y is zero.
     The returned S is zero off the mask.
     """
-    def update(data, low, y, alpha):
-        return data - soft_threshold(data - low + y / alpha, 1.0 / alpha)
+    def update(data, low, y, scaled, alpha, out):
+        np.subtract(data, low, out=out)
+        out += scaled
+        np.subtract(data, soft_threshold(out, 1.0 / alpha), out=out)
 
-    def l1_norm(data, z, low):
-        return float(np.abs(data - z).sum())
+    def l1_norm(data, z, low, work):
+        np.subtract(data, z, out=work)
+        return float(np.abs(work, out=work).sum())
 
     return _admm(d_obs, mask, cfg, update, l1_norm,
                  sparse=lambda data, z: data - z,
@@ -249,11 +304,15 @@ def solve_mc(d_obs, mask, cfg, iter_callback=None):
     feasibility of the auxiliary constraint. ``iter_callback(k, u, v, aux,
     y)`` receives the auxiliary matrix in place of a sparse part.
     """
-    def update(data, low, y, alpha):
-        return (data + alpha * low - y) / (1.0 + alpha)
+    def update(data, low, y, scaled, alpha, out):
+        np.multiply(low, alpha, out=out)
+        out += data
+        out -= y
+        out /= 1.0 + alpha
 
-    def squared_error(data, z, low):
-        return 0.5 * float(np.sum((data - low) ** 2))
+    def squared_error(data, z, low, work):
+        np.subtract(data, low, out=work)
+        return 0.5 * float(np.square(work, out=work).sum())
 
     def small_change(u, v, u_prev, v_prev):
         base = float(np.linalg.norm(v_prev))   # ||U_prev V_prev^T||_F

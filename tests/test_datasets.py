@@ -27,6 +27,15 @@ class TestGeneratePlanted:
         assert np.linalg.matrix_rank(p.l0) == 4
         assert p.rank == 4
 
+    @pytest.mark.parametrize("m, n, r, seed", [(30, 20, 20, 0), (45, 45, 3, 1),
+                                               (60, 50, 5, 2)])
+    def test_low_rank_part_is_the_seeded_factor_product(self, m, n, r, seed):
+        p = generate_planted(m, n, r, spike_frac=0.1, obs_frac=0.5, seed=seed)
+        rng = np.random.default_rng(seed)
+        left = rng.standard_normal((m, r))
+        right = rng.standard_normal((n, r))
+        assert np.array_equal(p.l0, left @ right.T)
+
     def test_spike_count_within_binomial_bounds(self):
         p = generate_planted(100, 100, 2, spike_frac=0.1, seed=3)
         count = int(p.spike_support.sum())

@@ -46,6 +46,15 @@ class TestQrThin:
         assert np.array_equal(f1.q, f2.q)
         assert np.array_equal(f1.r, f2.r)
 
+    def test_matches_reduced_qr_up_to_column_signs(self):
+        a = np.random.default_rng(7).standard_normal((50, 6))
+        f = qr_thin(a)
+        q, r = np.linalg.qr(a, mode="reduced")
+        signs = np.sign(np.diag(r))
+        np.testing.assert_allclose(f.q, q * signs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f.r, signs[:, None] * r, rtol=0, atol=1e-12)
+        assert f.q.flags.c_contiguous
+
     @settings(max_examples=30, deadline=None)
     @given(arrays(np.float64, (9, 4),
                   elements=st.floats(-1e3, 1e3, allow_nan=False)))

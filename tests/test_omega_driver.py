@@ -5,7 +5,9 @@
 thin QR of P V is unique, so the driver must follow the same iterate path up
 to rounding. With d above the true rank the trailing QR columns of a
 rank-deficient P V turn rounding into a different path, so there the gate is
-on outcomes.
+on outcomes. The RMC and MC checks run on both sides of ``SPARSE_DENSITY``:
+above it the driver takes its two products with a dense m x n buffer, below
+it with a CSR array over Omega.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from lowrank.metrics import auc, relative_error
 from lowrank.prox import soft_threshold, svt
 from lowrank.rmc import (
     RANK_ADJUST_START,
+    SPARSE_DENSITY,
+    _omega_matrix,
     _product_change,
     _rank_truncation_basis,
     adjust_rank_once,
@@ -154,17 +158,26 @@ def assert_same_path(run_driver, run_dense):
 
 INSTANCES = (11, 12, 13)
 
+# Observed fractions above and below SPARSE_DENSITY: dense-buffer and CSR path.
+DENSE_OBS, CSR_OBS = 0.5, 0.15
 
-def half_observed(seed, rank=2, spike_frac=0.1, obs_frac=0.5):
+
+def small_instance(seed, rank=2, spike_frac=0.1, obs_frac=DENSE_OBS):
     return generate_planted(60, 50, rank, spike_frac=spike_frac,
                             obs_frac=obs_frac, seed=seed)
 
 
-@pytest.mark.parametrize("seed", INSTANCES)
-@pytest.mark.parametrize("u_scheme", ["qr", "svd"])
-def test_rmc_matches_dense_loop_every_iteration(seed, u_scheme):
-    p = half_observed(seed)
-    cfg = SolverConfig(lam=0.7 * np.sqrt(60 * 0.5), d=1, max_iter=300)
+def assert_path(mask, csr):
+    """The instance's density lies on the side of the cut that selects the
+    CSR path exactly when ``csr``."""
+    density = mask.num_observed / mask.marker.size
+    assert (density < SPARSE_DENSITY) == csr, density
+
+
+def check_rmc_path(seed, u_scheme, obs_frac):
+    p = small_instance(seed, obs_frac=obs_frac)
+    assert_path(p.mask, obs_frac == CSR_OBS)
+    cfg = SolverConfig(lam=0.7 * np.sqrt(60 * obs_frac), d=1, max_iter=300)
     res, s = assert_same_path(
         lambda cb: solve_rmc(p.d_obs, p.mask, cfg, u_scheme=u_scheme,
                              iter_callback=cb),
@@ -174,9 +187,32 @@ def test_rmc_matches_dense_loop_every_iteration(seed, u_scheme):
     assert _close(res.s, np.where(p.mask.marker, s, 0.0))
 
 
+def check_mc_path(seed, obs_frac):
+    p = small_instance(seed, spike_frac=0.0, obs_frac=obs_frac)
+    assert_path(p.mask, obs_frac == CSR_OBS)
+    cfg = SolverConfig(lam=0.1, d=1, tol=1e-6, max_iter=400)
+    res, _ = assert_same_path(
+        lambda cb: solve_mc(p.d_obs, p.mask, cfg, iter_callback=cb),
+        lambda cb: dense_mc(p.d_obs, p.mask, cfg, iter_callback=cb),
+    )
+    assert np.all(res.s == 0)
+
+
+@pytest.mark.parametrize("seed", INSTANCES)
+@pytest.mark.parametrize("u_scheme", ["qr", "svd"])
+def test_rmc_matches_dense_loop_every_iteration(seed, u_scheme):
+    check_rmc_path(seed, u_scheme, DENSE_OBS)
+
+
+@pytest.mark.parametrize("seed", INSTANCES)
+@pytest.mark.parametrize("u_scheme", ["qr", "svd"])
+def test_rmc_csr_path_matches_dense_loop_every_iteration(seed, u_scheme):
+    check_rmc_path(seed, u_scheme, CSR_OBS)
+
+
 @pytest.mark.parametrize("seed", INSTANCES)
 def test_rpca_matches_dense_loop_every_iteration(seed):
-    p = half_observed(seed, obs_frac=1.0)
+    p = small_instance(seed, obs_frac=1.0)
     cfg = SolverConfig(lam=0.7 * np.sqrt(60), d=1, max_iter=300)
     full = ObservationMask.full(60, 50)
     assert_same_path(
@@ -187,13 +223,12 @@ def test_rpca_matches_dense_loop_every_iteration(seed):
 
 @pytest.mark.parametrize("seed", INSTANCES)
 def test_mc_matches_dense_loop_every_iteration(seed):
-    p = half_observed(seed, spike_frac=0.0)
-    cfg = SolverConfig(lam=0.1, d=1, tol=1e-6, max_iter=400)
-    res, _ = assert_same_path(
-        lambda cb: solve_mc(p.d_obs, p.mask, cfg, iter_callback=cb),
-        lambda cb: dense_mc(p.d_obs, p.mask, cfg, iter_callback=cb),
-    )
-    assert np.all(res.s == 0)
+    check_mc_path(seed, DENSE_OBS)
+
+
+@pytest.mark.parametrize("seed", INSTANCES)
+def test_mc_csr_path_matches_dense_loop_every_iteration(seed):
+    check_mc_path(seed, CSR_OBS)
 
 
 def planted_above_d(seed):
@@ -216,6 +251,19 @@ def test_rmc_outcome_matches_dense_loop_above_true_rank():
         assert auc(np.abs(res.s[obs]), p.s0[obs] != 0) >= \
             auc(np.abs(dense["s"][obs]), p.s0[obs] != 0) - 0.01
         assert abs(res.iterations - len(dense_trace)) <= 0.2 * len(dense_trace)
+
+
+def test_rmc_csr_path_recovers_above_true_rank():
+    for seed in INSTANCES:
+        p = generate_planted(250, 250, 3, spike_frac=0.05, obs_frac=0.2,
+                             seed=seed)
+        assert_path(p.mask, True)
+        res = solve_rmc(p.d_obs, p.mask,
+                        SolverConfig(lam=0.7 * np.sqrt(250 * 0.2), d=6))
+        obs = p.mask.marker
+        assert res.termination == "converged"
+        assert relative_error(res.low_rank(), p.l0) <= 1e-3
+        assert auc(np.abs(res.s[obs]), p.s0[obs] != 0) >= 0.99
 
 
 def test_rank_adjustment_outcome_matches_dense_loop():
@@ -265,3 +313,54 @@ def test_product_change_matches_dense_norm(d, d_prev):
     near = v + 1e-9 * rng.standard_normal(v.shape)
     dense = np.linalg.norm(u @ near.T - u @ v.T)
     assert _product_change(u, near, u, v) == pytest.approx(dense, rel=1e-6)
+
+
+def _random_marker(rng, shape, count):
+    marker = np.zeros(shape[0] * shape[1], dtype=bool)
+    marker[rng.choice(marker.size, size=count, replace=False)] = True
+    return marker.reshape(shape)
+
+
+def _masks():
+    rng = np.random.default_rng(5)
+    shape = (37, 23)
+    size = shape[0] * shape[1]
+    gaps = rng.random(shape) < 0.2
+    gaps[[0, 9, 36], :] = False       # empty rows, the first and last included
+    gaps[:, [0, 14, 22]] = False      # empty columns
+    single = np.zeros(shape, dtype=bool)
+    single[36, 0] = True
+    below = int(np.ceil(SPARSE_DENSITY * size)) - 1
+    return {
+        "empty rows and columns": gaps,
+        "single entry": single,
+        "just below the cut": _random_marker(rng, shape, below),
+        "just above the cut": _random_marker(rng, shape, below + 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_masks()))
+def test_csr_products_match_dense_buffer(name):
+    marker = _masks()[name]
+    m, n = marker.shape
+    flat = np.flatnonzero(marker)
+    if name == "just below the cut":
+        assert flat.size < SPARSE_DENSITY * m * n
+    if name == "just above the cut":
+        assert flat.size >= SPARSE_DENSITY * m * n
+    rng = np.random.default_rng(flat.size)
+    dense_values, dense_load = _omega_matrix(marker, flat, csr=False)
+    csr_values, csr_load = _omega_matrix(marker, flat, csr=True)
+    for _ in range(3):   # the values are rewritten in place every iteration
+        values = rng.standard_normal(flat.size)
+        dense_values[:] = values
+        csr_values[:] = values
+        v = rng.standard_normal((n, 4))
+        u = np.linalg.qr(rng.standard_normal((m, 4)))[0]
+        e, e_t = dense_load()
+        np.testing.assert_array_equal(e, np.where(marker, e, 0.0))
+        assert np.array_equal(e.reshape(-1)[flat], values)
+        s, s_t = csr_load()
+        for got, want in ((s @ v, e @ v), (s_t @ u, e_t @ u)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

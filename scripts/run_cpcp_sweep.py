@@ -16,7 +16,6 @@ from lowrank import (
     generate_planted,
     relative_error,
     solve_cpcp,
-    subspace_forward,
 )
 
 
@@ -40,7 +39,7 @@ def main():
     for frac in args.fractions:
         p = int(frac * m * n)
         q = draw_random_subspace(m, n, p, seed=args.seed + 100)
-        y = subspace_forward(prob.l0 + prob.s0, q)
+        y = q.forward(prob.l0 + prob.s0)
         cfg = SolverConfig(lam=lam, d=2 * args.rank, tol=1e-10,
                            max_iter=1000, seed=args.seed)
         res = solve_cpcp(y, q, cfg)

@@ -23,11 +23,8 @@ from .measurements import (
     SubspaceOperator,
     draw_random_subspace,
     load_mask,
-    mask_as_subspace,
     mask_project,
     save_mask,
-    subspace_adjoint,
-    subspace_forward,
 )
 from .metrics import auc, relative_error, rmse
 from .prox import soft_threshold, svt
@@ -52,7 +49,6 @@ __all__ = [
     "load_mask",
     "load_matrix",
     "load_ratings",
-    "mask_as_subspace",
     "mask_project",
     "qr_thin",
     "relative_error",
@@ -65,8 +61,6 @@ __all__ = [
     "solve_rmc",
     "solve_rpca",
     "spectral_norm",
-    "subspace_adjoint",
-    "subspace_forward",
     "svd_thin",
     "svt",
 ]

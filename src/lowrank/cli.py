@@ -236,8 +236,7 @@ def cmd_eval(args):
         s_hat = load_matrix(os.path.join(args.estimate_dir, "S.txt"))
         s_ref = load_matrix(os.path.join(args.truth_dir, "s0.txt"))
         mask = load_mask(os.path.join(args.truth_dir, "mask.txt"))
-        observed = mask.marker
-        value = auc(np.abs(s_hat[observed]), s_ref[observed] != 0)
+        value = auc(np.abs(mask.forward(s_hat)), mask.forward(s_ref) != 0)
     else:
         if args.test_file is None:
             print("error: --test-file is required for rmse", file=sys.stderr)

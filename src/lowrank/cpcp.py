@@ -50,7 +50,7 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         )
     if not np.all(np.isfinite(y_meas)):
         raise ValueError("measurements contain non-finite values")
-    m, n = q.ambient_rows, q.ambient_cols
+    m, n = q.shape
     if cfg.d > min(m, n):
         raise ValueError(f"rank bound d={cfg.d} exceeds min(m, n)={min(m, n)}")
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import ObservationMask, mask_project
+from .measurements import ObservationMask, mask_project, read_shape
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,13 @@ class RatingDataset:
 
     def train_matrix(self):
         """Dense matrix of training ratings plus its observation mask."""
-        data = np.zeros((self.num_users, self.num_items))
-        marker = np.zeros((self.num_users, self.num_items), dtype=bool)
-        for u, i, val in self.train:
-            data[u, i] = val
-            marker[u, i] = True
-        return data, ObservationMask(marker)
+        # sorted, because adjoint reads the values in row-major order
+        train = np.fromiter(sorted(self.train), dtype=[
+            ("user", np.int64), ("item", np.int64), ("value", np.float64)])
+        mask = ObservationMask.from_indices(
+            self.num_users, self.num_items,
+            np.column_stack((train["user"], train["item"])))
+        return mask.adjoint(train["value"]), mask
 
 
 def split_ratings(triplets, seed, test_fraction=0.1):
@@ -171,11 +172,8 @@ def save_matrix(path, a):
 
 def load_matrix(path):
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: bad header, expected 'rows cols'")
-        rows, cols = int(header[0]), int(header[1])
-        if rows <= 0 or cols <= 0:
+        rows, cols = read_shape(fh, path)
+        if rows == 0 or cols == 0:
             raise ValueError(f"{path}: degenerate shape {rows}x{cols}")
         out = np.empty((rows, cols))
         for i in range(rows):

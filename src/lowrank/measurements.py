@@ -1,21 +1,43 @@
 """Observation models: entrywise masks and random-subspace linear measurements.
 
-Both models fit one linear-measurement interface: a forward map producing a
-coefficient vector and its adjoint mapping coefficients back to matrix space.
-A mask can be expressed as a subspace operator whose basis elements are the
-indicator matrices of the observed entries.
+``ObservationMask`` and ``SubspaceOperator`` are linear measurement operators
+with four members: ``shape``, the (m, n) of the matrices measured; ``dim``,
+the number p of coefficients; ``forward(a)``, an m x n matrix to its p
+coefficients, raising ``ValueError`` on another shape or a non-finite entry;
+and ``adjoint(y)``, p coefficients back to an m x n matrix, raising
+``ValueError`` on another length. Both have orthonormal rows, so
+``forward(adjoint(y))`` is ``y`` and ``adjoint(forward(a))`` projects ``a``
+onto the measured subspace. A mask's coefficients are its observed entries
+in row-major order: ``forward`` gathers them, ``adjoint`` scatters them into
+zeros.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import check_matrix, qr_thin
 
 
+def _check_shape(a, shape, name):
+    a = check_matrix(a, name)
+    if a.shape != shape:
+        raise ValueError(f"shape mismatch: matrix {a.shape} vs operator {shape}")
+    return a
+
+
+def _check_length(y, dim):
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (dim,):
+        raise ValueError(f"measurement length {y.shape} != {dim}")
+    return y
+
+
 @dataclass(frozen=True)
 class ObservationMask:
-    """Index set of observed entries, stored as a boolean marker matrix."""
+    """Index set of observed entries, stored as a boolean marker matrix that
+    must not change once ``flat_indices`` has been read."""
 
     marker: np.ndarray  # bool, shape (rows, cols)
 
@@ -51,51 +73,62 @@ class ObservationMask:
         return cls(np.ones((rows, cols), dtype=bool))
 
     @property
-    def rows(self):
-        return self.marker.shape[0]
+    def shape(self):
+        return self.marker.shape
+
+    @cached_property
+    def flat_indices(self):
+        """Row-major flat indices of the observed entries, ascending."""
+        return np.flatnonzero(self.marker)
 
     @property
-    def cols(self):
-        return self.marker.shape[1]
+    def dim(self):
+        return self.flat_indices.size
 
-    @property
-    def num_observed(self):
-        return int(self.marker.sum())
+    def forward(self, a):
+        """The observed entries of ``a`` in row-major order."""
+        a = _check_shape(a, self.shape, "mask forward input")
+        return a.reshape(-1)[self.flat_indices]
 
-    @property
-    def indices(self):
-        """Observed (i, j) pairs in row-major order."""
-        return np.argwhere(self.marker)
-
-    def complement(self):
-        return ObservationMask(~self.marker)
+    def adjoint(self, y):
+        """The m x n matrix holding ``y`` on the mask and zero off it."""
+        y = _check_length(y, self.dim)
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.flat_indices] = y
+        return out
 
 
 def mask_project(a, mask):
     """Keep entries on the mask, zero the rest."""
-    a = check_matrix(a, "mask_project input")
-    if a.shape != mask.marker.shape:
-        raise ValueError(
-            f"shape mismatch: matrix {a.shape} vs mask {mask.marker.shape}"
-        )
-    return np.where(mask.marker, a, 0.0)
+    return mask.adjoint(mask.forward(a))
 
 
 def save_mask(path, mask):
     """Text format: "rows cols" header then one 0-based "i j" pair per line
     in row-major order."""
-    pairs = mask.indices
+    rows, cols = mask.shape
+    pairs = np.column_stack(np.divmod(mask.flat_indices, cols))
     with open(path, "w") as fh:
-        fh.write(f"{mask.rows} {mask.cols}\n")
+        fh.write(f"{rows} {cols}\n")
         fh.write("%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist()))
+
+
+def read_shape(fh, path):
+    """Parse the "rows cols" header line of a mask or matrix text file."""
+    header = fh.readline().split()
+    try:
+        rows, cols = map(int, header)
+    except ValueError:
+        raise ValueError(f"{path}: bad header {' '.join(header)!r}, "
+                         "expected 'rows cols'") from None
+    if rows < 0 or cols < 0:
+        raise ValueError(f"{path}: negative shape {rows}x{cols}")
+    return rows, cols
 
 
 def load_mask(path):
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: bad mask header")
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = read_shape(fh, path)
         # Skip the blank lines before the first pair: loadtxt warns on input
         # without data, and a header-only file is an empty mask.
         start = fh.tell()
@@ -127,8 +160,7 @@ class SubspaceOperator:
     back to the matrix-space projection component.
     """
 
-    ambient_rows: int
-    ambient_cols: int
+    shape: tuple[int, int]
     basis: np.ndarray  # p x (m*n), orthonormal rows
     seed: int | None = field(default=None)
 
@@ -137,31 +169,16 @@ class SubspaceOperator:
         return self.basis.shape[0]
 
     def forward(self, a):
-        a = check_matrix(a, "subspace forward input")
-        if a.shape != (self.ambient_rows, self.ambient_cols):
-            raise ValueError(
-                f"shape mismatch: {a.shape} vs ambient "
-                f"({self.ambient_rows}, {self.ambient_cols})"
-            )
+        a = _check_shape(a, self.shape, "subspace forward input")
         return self.basis @ a.ravel()
 
     def adjoint(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.dim,):
-            raise ValueError(f"measurement length {y.shape} != {self.dim}")
-        return (self.basis.T @ y).reshape(self.ambient_rows, self.ambient_cols)
+        y = _check_length(y, self.dim)
+        return (self.basis.T @ y).reshape(self.shape)
 
     def project(self, a):
         """Orthogonal projection in matrix space (adjoint of forward)."""
         return self.adjoint(self.forward(a))
-
-
-def subspace_forward(a, q):
-    return q.forward(a)
-
-
-def subspace_adjoint(y, q):
-    return q.adjoint(y)
 
 
 def draw_random_subspace(m, n, p, seed):
@@ -171,13 +188,4 @@ def draw_random_subspace(m, n, p, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m * n, p))
     basis = qr_thin(g).q.T
-    return SubspaceOperator(m, n, basis, seed=seed)
-
-
-def mask_as_subspace(mask):
-    """The mask's P_Omega as a SubspaceOperator over indicator matrices."""
-    mn = mask.rows * mask.cols
-    flat = np.flatnonzero(mask.marker.ravel())
-    basis = np.zeros((flat.size, mn))
-    basis[np.arange(flat.size), flat] = 1.0
-    return SubspaceOperator(mask.rows, mask.cols, basis)
+    return SubspaceOperator((m, n), basis, seed=seed)

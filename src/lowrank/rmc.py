@@ -113,27 +113,21 @@ def _rank_truncation_basis(v, new_d):
     return eigvecs[:, order[:new_d]]
 
 
-def _scatter(out, flat, values):
-    """Write ``values`` at the flat indices of the m x n array ``out``."""
-    out.reshape(-1)[flat] = values
-    return out
-
-
-def _omega_matrix(marker, flat, csr):
+def _omega_matrix(mask, csr):
     """An m x n matrix E that is zero off Omega, kept with its Omega values.
 
-    Returns ``(values, load)``: the caller writes E at the flat indices
-    ``flat`` into ``values``, and ``load()`` returns E and E^T ready for
-    products. With ``csr``, E is a CSR array whose ``data`` is ``values``
+    Returns ``(values, load)``: the caller writes E on Omega, in the mask's
+    row-major order, into ``values``, and ``load()`` returns E and E^T ready
+    for products. With ``csr``, E is a CSR array whose ``data`` is ``values``
     and E^T a CSC view of the same array, so loading is free and each product
     costs O(|Omega| d). Otherwise E is a dense m x n buffer, zeroed once, that
     ``load`` writes at Omega, and each product is a dense GEMM.
     """
-    m, n = marker.shape
+    m, n = mask.shape
+    flat = mask.flat_indices
     if csr:
         # flat is row-major, so it lists Omega in CSR order
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(marker, axis=1), out=indptr[1:])
+        indptr = np.searchsorted(flat, np.arange(0, m * n + 1, n))
         e = csr_array((np.zeros(flat.size), flat % n, indptr), shape=(m, n))
         e_t = e.T
         if not np.shares_memory(e_t.data, e.data):
@@ -141,7 +135,12 @@ def _omega_matrix(marker, flat, csr):
         return e.data, lambda: (e, e_t)
     e = np.zeros((m, n))
     values = np.zeros(flat.size)
-    return values, lambda: (_scatter(e, flat, values), e.T)
+
+    def load():
+        e.reshape(-1)[flat] = values
+        return e, e.T
+
+    return values, load
 
 
 def _product_change(u, v, u_prev, v_prev):
@@ -180,17 +179,13 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
     ``soft_threshold``.
     """
     cfg.validate()
-    d_full = check_matrix(d_obs, "observed data")
-    m, n = d_full.shape
-    if mask.marker.shape != (m, n):
-        raise ValueError(f"mask shape {mask.marker.shape} != data shape {(m, n)}")
-    if mask.num_observed == 0:
+    data = mask.forward(d_obs)
+    m, n = mask.shape
+    if mask.dim == 0:
         raise ValueError("observation mask is empty")
     if cfg.d > min(m, n):
         raise ValueError(f"rank bound d={cfg.d} exceeds min(m, n)={min(m, n)}")
 
-    flat = np.flatnonzero(mask.marker)
-    data = d_full.reshape(-1)[flat]
     lam = cfg.resolve_lambda(m, n)
     obs_norm = float(np.linalg.norm(data))
     alpha = (1.0 / obs_norm if obs_norm > 0 else 1.0) \
@@ -204,8 +199,7 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
     # truncates U and V but not these.
     u_prev, v_prev = u, v
     # E = P - U_prev V_prev^T is zero off Omega; ``values`` holds it on Omega
-    values, load = _omega_matrix(mask.marker, flat,
-                                 flat.size < SPARSE_DENSITY * m * n)
+    values, load = _omega_matrix(mask, mask.dim < SPARSE_DENSITY * m * n)
     z = data.copy()
     y = np.zeros_like(data)
     low = np.zeros_like(data)      # U_prev V_prev^T on Omega
@@ -225,8 +219,8 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
         u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u, u_scheme)
         v = svt(v_prev @ (u_prev.T @ u) + e_t @ u, lam / alpha)
         np.matmul(u, v.T, out=product)
-        # flat is in range, and mode="clip" lets take write out unbuffered
-        np.take(product.reshape(-1), flat, out=low, mode="clip")
+        # indices in range: mode="clip" lets take write out unbuffered
+        np.take(product.reshape(-1), mask.flat_indices, out=low, mode="clip")
         update(data, low, y, scaled, alpha, z)
         np.subtract(z, low, out=gap)
         np.multiply(gap, alpha, out=work)
@@ -236,10 +230,11 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
         trace.append(IterationRecord(k, residual, objective, alpha, d))
         if iter_callback is not None:
             if sparse is None:
-                split = _scatter(product.copy(), flat, z)
+                split, on_omega = product.copy(), z
             else:   # off Omega D = 0 and Z = U V^T, so S = -U V^T there
-                split = _scatter(sparse(0.0, product), flat, sparse(data, z))
-            iter_callback(k, u, v, split, _scatter(np.zeros((m, n)), flat, y))
+                split, on_omega = sparse(0.0, product), sparse(data, z)
+            split.reshape(-1)[mask.flat_indices] = on_omega
+            iter_callback(k, u, v, split, mask.adjoint(y))
         if residual < threshold or (
                 stop is not None and stop(u, v, u_prev, v_prev)):
             termination = "converged"
@@ -255,10 +250,8 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
                 d = new_d
                 adjusted = True
 
-    s = np.zeros((m, n))
-    if sparse is not None:
-        _scatter(s, flat, sparse(data, z))
-    return SolveResult(u=u, v=v, s=s, y=_scatter(np.zeros((m, n)), flat, y),
+    s = np.zeros((m, n)) if sparse is None else mask.adjoint(sparse(data, z))
+    return SolveResult(u=u, v=v, s=s, y=mask.adjoint(y),
                        trace=trace, termination=termination)
 
 

@@ -17,7 +17,7 @@ import pytest
 from lowrank.config import SolverConfig
 from lowrank.cpcp import data_fit_gradient, solve_cpcp
 from lowrank.datasets import generate_planted, load_ratings
-from lowrank.measurements import draw_random_subspace, subspace_forward
+from lowrank.measurements import draw_random_subspace
 from lowrank.metrics import auc, relative_error, rmse
 from lowrank.prox import svt
 from lowrank.rmc import solve_mc, solve_rmc
@@ -155,7 +155,7 @@ def test_criterion_07_cpcp_recovery_and_gradients():
         prob = generate_planted(30, 30, 3, spike_frac=0.05, obs_frac=1.0,
                                 seed=seed)
         q = draw_random_subspace(30, 30, 675, seed=seed + 100)
-        y = subspace_forward(prob.l0 + prob.s0, q)
+        y = q.forward(prob.l0 + prob.s0)
         cfg = SolverConfig(lam=np.sqrt(30.0), d=6, tol=1e-10, max_iter=1000,
                            seed=seed)
         res = solve_cpcp(y, q, cfg)
@@ -172,7 +172,7 @@ def test_criterion_07_cpcp_recovery_and_gradients():
     grad = data_fit_gradient(point, other, y, dual, alpha, q)
 
     def f(x):
-        resid = subspace_forward(x + other, q) - y - dual / alpha
+        resid = q.forward(x + other) - y - dual / alpha
         return 0.5 * alpha * float(resid @ resid)
 
     eps = 1e-5

@@ -157,11 +157,11 @@ class TestSolveCommands:
 
     def test_cpcp_round_trip(self, tmp_path, capsys):
         from lowrank.datasets import generate_planted, save_matrix
-        from lowrank.measurements import draw_random_subspace, subspace_forward
+        from lowrank.measurements import draw_random_subspace
 
         prob = generate_planted(12, 12, 2, spike_frac=0.05, seed=3)
         q = draw_random_subspace(12, 12, 100, seed=77)
-        y = subspace_forward(prob.l0 + prob.s0, q)
+        y = q.forward(prob.l0 + prob.s0)
         meas = tmp_path / "y.txt"
         save_matrix(meas, y.reshape(-1, 1))
         est = tmp_path / "est"

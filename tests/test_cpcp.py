@@ -4,7 +4,7 @@ import pytest
 from lowrank.config import SolverConfig
 from lowrank.cpcp import data_fit_gradient, solve_cpcp
 from lowrank.datasets import generate_planted
-from lowrank.measurements import draw_random_subspace, subspace_forward
+from lowrank.measurements import draw_random_subspace
 from lowrank.metrics import relative_error
 
 
@@ -12,7 +12,7 @@ def measured_problem(m=20, n=16, r=2, p=200, seed=0, spike_frac=0.05):
     prob = generate_planted(m, n, r, spike_frac=spike_frac, obs_frac=1.0,
                             seed=seed)
     q = draw_random_subspace(m, n, p, seed=seed + 100)
-    y = subspace_forward(prob.l0 + prob.s0, q)
+    y = q.forward(prob.l0 + prob.s0)
     return prob, q, y
 
 
@@ -77,7 +77,7 @@ class CountingOperator:
     def __init__(self, q):
         self.q = q
         self.forward_calls = 0
-        self.ambient_rows, self.ambient_cols = q.ambient_rows, q.ambient_cols
+        self.shape = q.shape
         self.dim = q.dim
         self.adjoint = q.adjoint
         self.project = q.project
@@ -140,7 +140,7 @@ class TestIterationInvariants:
         grad = data_fit_gradient(point, other, y, dual, alpha, q)
 
         def f(x):
-            resid = subspace_forward(x + other, q) - y - dual / alpha
+            resid = q.forward(x + other) - y - dual / alpha
             return 0.5 * alpha * float(resid @ resid)
 
         eps = 1e-5
@@ -159,7 +159,7 @@ class TestIterationInvariants:
         q, y, states = self.collect(seed=9)
 
         def g(x, s, dual, alpha):
-            resid = subspace_forward(x + s, q) - y - dual / alpha
+            resid = q.forward(x + s) - y - dual / alpha
             return 0.5 * alpha * float(resid @ resid)
 
         for st in states:

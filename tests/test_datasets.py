@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lowrank.datasets import (
+    RatingDataset,
     generate_planted,
     load_matrix,
     load_ratings,
@@ -139,9 +140,31 @@ class TestLoadRatings:
         ds = load_ratings(path)
         data, mask = ds.train_matrix()
         assert data.shape == (5, 2)
-        assert mask.num_observed == len(ds.train)
+        assert mask.dim == len(ds.train)
         for u, i, val in ds.train:
             assert data[u, i] == val and mask.marker[u, i]
+
+    def test_train_matrix_matches_triplet_loop(self, tmp_path):
+        rng = np.random.default_rng(3)
+        users = rng.choice(np.arange(1, 400), size=12, replace=False)
+        items = rng.choice(np.arange(1, 900), size=9, replace=False)
+        lines = [f"{u} {i} {rng.integers(1, 6)}.{rng.integers(0, 10)}"
+                 for u in users for i in items if rng.random() < 0.6]
+        ds = load_ratings(self.write(tmp_path, "\n".join(lines)), seed=4)
+        data, mask = ds.train_matrix()
+        expected = np.zeros((ds.num_users, ds.num_items))
+        marker = np.zeros((ds.num_users, ds.num_items), dtype=bool)
+        for u, i, val in ds.train:
+            expected[u, i] = val
+            marker[u, i] = True
+        assert np.array_equal(data, expected)
+        assert np.array_equal(mask.marker, marker)
+        # triplets out of row-major order land where the loop put them
+        unsorted = RatingDataset([(1, 0, 2.0), (0, 1, 3.0)], 2, 2,
+                                 np.array([0, 1]), np.array([], dtype=int))
+        data, mask = unsorted.train_matrix()
+        assert np.array_equal(data, [[0.0, 3.0], [2.0, 0.0]])
+        assert np.array_equal(mask.marker, data != 0)
 
 
 class TestMatrixIo:
@@ -181,6 +204,13 @@ class TestMatrixIo:
         path.write_text("0 0\n")
         with pytest.raises(ValueError, match="degenerate"):
             load_matrix(path)
+
+    def test_non_integer_header_names_file(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("x 2\n1 2\n")
+        with pytest.raises(ValueError, match="bad header") as info:
+            load_matrix(path)
+        assert str(path) in str(info.value)
 
     def test_short_row_reports_location(self, tmp_path):
         path = tmp_path / "d.txt"

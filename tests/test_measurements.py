@@ -5,11 +5,8 @@ from lowrank.measurements import (
     ObservationMask,
     draw_random_subspace,
     load_mask,
-    mask_as_subspace,
     mask_project,
     save_mask,
-    subspace_adjoint,
-    subspace_forward,
 )
 
 
@@ -30,13 +27,7 @@ class TestObservationMask:
                                                 (0, 1)])
 
     def test_empty_pairs(self):
-        assert ObservationMask.from_indices(2, 2, []).num_observed == 0
-
-    def test_complement_partitions(self):
-        mask = ObservationMask.from_indices(2, 3, [(0, 1), (1, 2)])
-        total = mask.marker | mask.complement().marker
-        assert total.all()
-        assert not (mask.marker & mask.complement().marker).any()
+        assert ObservationMask.from_indices(2, 2, []).dim == 0
 
     def test_roundtrip_through_file(self, tmp_path):
         mask = ObservationMask.from_indices(3, 4, [(0, 0), (1, 3), (2, 1)])
@@ -79,8 +70,22 @@ class TestMaskFile:
     @pytest.mark.parametrize("text", ["2 3\n", "2 3\n\n \n"])
     def test_header_only_is_empty_mask(self, tmp_path, text):
         mask = load_mask(self.write(tmp_path, text))
-        assert mask.marker.shape == (2, 3)
-        assert mask.num_observed == 0
+        assert mask.shape == (2, 3)
+        assert mask.dim == 0
+
+    def test_zero_shape_header_is_empty_mask(self, tmp_path):
+        mask = load_mask(self.write(tmp_path, "0 0\n"))
+        assert mask.shape == (0, 0)
+        assert mask.dim == 0
+
+    @pytest.mark.parametrize("text", ["x 2\n", "2\n", "2 3 4\n", "",
+                                      "-1 3\n", "2 -3\n0 0\n"])
+    def test_bad_header_names_file(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError) as info:
+            load_mask(path)
+        assert str(path) in str(info.value)
+        assert "header" in str(info.value) or "negative" in str(info.value)
 
     @pytest.mark.parametrize("pair", ["2 0", "0 3", "-1 0"])
     def test_out_of_range_pair_rejected(self, tmp_path, pair):
@@ -111,7 +116,8 @@ class TestMaskProject:
         a = np.random.default_rng(1).standard_normal((4, 4))
         mask = ObservationMask(np.random.default_rng(2).random((4, 4)) < 0.5)
         np.testing.assert_allclose(
-            mask_project(a, mask) + mask_project(a, mask.complement()), a
+            mask_project(a, mask) + mask_project(a, ObservationMask(~mask.marker)),
+            a,
         )
 
     def test_small_example(self):
@@ -136,45 +142,45 @@ class TestSubspaceOperator:
     def test_basis_element_maps_to_unit_vector(self):
         q = draw_random_subspace(4, 3, 5, seed=0)
         b2 = q.basis[2].reshape(4, 3)
-        np.testing.assert_allclose(subspace_forward(b2, q), np.eye(5)[2],
+        np.testing.assert_allclose(q.forward(b2), np.eye(5)[2],
                                    atol=1e-10)
 
     def test_orthogonal_input_maps_to_zero(self):
         q = draw_random_subspace(3, 3, 2, seed=1)
         a = np.random.default_rng(5).standard_normal((3, 3))
         a -= q.project(a)
-        assert np.linalg.norm(subspace_forward(a, q)) <= 1e-10
+        assert np.linalg.norm(q.forward(a)) <= 1e-10
 
     def test_forward_is_a_contraction(self):
         q = draw_random_subspace(5, 4, 7, seed=2)
         a = np.random.default_rng(6).standard_normal((5, 4))
-        assert np.linalg.norm(subspace_forward(a, q)) <= np.linalg.norm(a) + 1e-12
+        assert np.linalg.norm(q.forward(a)) <= np.linalg.norm(a) + 1e-12
 
     def test_adjoint_identity(self):
         q = draw_random_subspace(4, 4, 9, seed=3)
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 4))
         y = rng.standard_normal(9)
-        lhs = subspace_forward(a, q) @ y
-        rhs = float(np.sum(a * subspace_adjoint(y, q)))
+        lhs = q.forward(a) @ y
+        rhs = float(np.sum(a * q.adjoint(y)))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_adjoint_of_forward_recovers_basis_element(self):
         q = draw_random_subspace(3, 4, 6, seed=4)
         b0 = q.basis[0].reshape(3, 4)
         np.testing.assert_allclose(
-            subspace_adjoint(subspace_forward(b0, q), q), b0, atol=1e-10
+            q.adjoint(q.forward(b0)), b0, atol=1e-10
         )
 
     def test_zero_measurements_give_zero_matrix(self):
         q = draw_random_subspace(3, 3, 4, seed=5)
-        np.testing.assert_array_equal(subspace_adjoint(np.zeros(4), q),
+        np.testing.assert_array_equal(q.adjoint(np.zeros(4)),
                                       np.zeros((3, 3)))
 
     def test_length_mismatch(self):
         q = draw_random_subspace(3, 3, 4, seed=6)
         with pytest.raises(ValueError):
-            subspace_adjoint(np.zeros(5), q)
+            q.adjoint(np.zeros(5))
 
 
 class TestDrawRandomSubspace:
@@ -182,7 +188,7 @@ class TestDrawRandomSubspace:
         q = draw_random_subspace(3, 3, 9, seed=0)
         y = np.random.default_rng(8).standard_normal(9)
         np.testing.assert_allclose(
-            subspace_forward(subspace_adjoint(y, q), q), y, atol=1e-10
+            q.forward(q.adjoint(y)), y, atol=1e-10
         )
 
     def test_rank_one_projection_norm(self):
@@ -219,8 +225,41 @@ class TestDrawRandomSubspace:
         )
 
 
-def test_mask_expressed_as_subspace_agrees_with_mask_project():
-    mask = ObservationMask(np.random.default_rng(10).random((4, 5)) < 0.5)
-    q = mask_as_subspace(mask)
-    a = np.random.default_rng(11).standard_normal((4, 5))
-    np.testing.assert_allclose(q.project(a), mask_project(a, mask), atol=1e-12)
+OPERATORS = {
+    "mask": lambda: ObservationMask(
+        np.random.default_rng(10).random((4, 5)) < 0.5
+    ),
+    "subspace": lambda: draw_random_subspace(4, 5, 9, seed=11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_measurement_operator_contract(name):
+    """Both operators honour the four-member contract of the module."""
+    op = OPERATORS[name]()
+    assert op.shape == (4, 5)
+    assert op.dim == (np.count_nonzero(op.marker) if name == "mask" else 9)
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((4, 5))
+    y = rng.standard_normal(op.dim)
+    assert op.forward(a).shape == (op.dim,)
+    assert op.adjoint(y).shape == (4, 5)
+    assert float(op.forward(a) @ y) == pytest.approx(
+        float(np.sum(a * op.adjoint(y))), abs=1e-12
+    )
+    np.testing.assert_allclose(op.forward(op.adjoint(y)), y, atol=1e-12)
+    for bad in (np.zeros((5, 4)), np.zeros(20), np.full((4, 5), np.nan)):
+        with pytest.raises(ValueError):
+            op.forward(bad)
+    for bad in (np.zeros(op.dim + 1), np.zeros((op.dim, 1))):
+        with pytest.raises(ValueError):
+            op.adjoint(bad)
+
+
+def test_mask_coefficients_in_row_major_order():
+    a = np.arange(6.0).reshape(2, 3)
+    mask = ObservationMask.from_indices(2, 3, [(1, 0), (0, 2)])
+    np.testing.assert_array_equal(mask.flat_indices, [2, 3])
+    np.testing.assert_array_equal(mask.forward(a), [2.0, 3.0])
+    np.testing.assert_array_equal(mask.adjoint([7.0, 8.0]),
+                                  [[0.0, 0.0, 7.0], [8.0, 0.0, 0.0]])

@@ -170,7 +170,7 @@ def small_instance(seed, rank=2, spike_frac=0.1, obs_frac=DENSE_OBS):
 def assert_path(mask, csr):
     """The instance's density lies on the side of the cut that selects the
     CSR path exactly when ``csr``."""
-    density = mask.num_observed / mask.marker.size
+    density = mask.dim / mask.marker.size
     assert (density < SPARSE_DENSITY) == csr, density
 
 
@@ -349,8 +349,9 @@ def test_csr_products_match_dense_buffer(name):
     if name == "just above the cut":
         assert flat.size >= SPARSE_DENSITY * m * n
     rng = np.random.default_rng(flat.size)
-    dense_values, dense_load = _omega_matrix(marker, flat, csr=False)
-    csr_values, csr_load = _omega_matrix(marker, flat, csr=True)
+    mask = ObservationMask(marker)
+    dense_values, dense_load = _omega_matrix(mask, csr=False)
+    csr_values, csr_load = _omega_matrix(mask, csr=True)
     for _ in range(3):   # the values are rewritten in place every iteration
         values = rng.standard_normal(flat.size)
         dense_values[:] = values

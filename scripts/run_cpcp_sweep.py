@@ -19,7 +19,7 @@ from lowrank import (
 )
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--size", type=int, default=30)
     ap.add_argument("--rank", type=int, default=3)
@@ -27,7 +27,7 @@ def main():
     ap.add_argument("--fractions", type=float, nargs="+",
                     default=[0.25, 0.5, 0.75, 0.9])
     ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     m = n = args.size
     prob = generate_planted(m, n, args.rank, spike_frac=args.spike_frac,
@@ -41,7 +41,7 @@ def main():
         q = draw_random_subspace(m, n, p, seed=args.seed + 100)
         y = q.forward(prob.l0 + prob.s0)
         cfg = SolverConfig(lam=lam, d=2 * args.rank, tol=1e-10,
-                           max_iter=1000, seed=args.seed)
+                           max_iter=1000)
         res = solve_cpcp(y, q, cfg)
         err = relative_error(res.low_rank(), prob.l0)
         print(f"{frac:>6.2f} {p:>6} {res.iterations:>6} {err:>10.3e}")

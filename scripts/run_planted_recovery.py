@@ -21,7 +21,7 @@ from lowrank import (
 )
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rows", type=int, default=200)
     ap.add_argument("--cols", type=int, default=200)
@@ -30,7 +30,7 @@ def main():
     ap.add_argument("--obs-frac", type=float, default=0.7)
     ap.add_argument("--d", type=int, default=10)
     ap.add_argument("--seeds", type=int, default=5)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     lam = float(np.sqrt(max(args.rows, args.cols)))
     print(f"lambda = {lam:.4f}, factor rank bound d = {args.d}")

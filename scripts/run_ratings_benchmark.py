@@ -29,21 +29,22 @@ def synthesize(path, num_users=80, num_items=60, rank=5, density=0.3, seed=42):
     path.write_text("\n".join(lines) + "\n")
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--ratings", type=Path, default=None)
     ap.add_argument("--lambda", dest="lam", type=float, default=0.5)
     ap.add_argument("--ranks", type=int, nargs="+", default=[2, 5, 10, 20])
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.ratings is None:
-        tmp = tempfile.NamedTemporaryFile(suffix=".txt", delete=False)
-        args.ratings = Path(tmp.name)
-        synthesize(args.ratings)
-        print(f"synthesized rank-5 ratings -> {args.ratings}")
-
-    ds = load_ratings(args.ratings, seed=args.seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ratings.txt"
+            synthesize(path)
+            ds = load_ratings(path, seed=args.seed)
+        print("synthesized rank-5 ratings")
+    else:
+        ds = load_ratings(args.ratings, seed=args.seed)
     train, mask = ds.train_matrix()
     print(f"{ds.num_users} users x {ds.num_items} items, "
           f"{len(ds.train)} train / {len(ds.test)} test ratings")

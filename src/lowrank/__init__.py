@@ -1,7 +1,7 @@
 """Low-rank matrix recovery via bilinear factorization ADMM."""
 
 from .config import IterationRecord, SolveResult, SolverConfig
-from .cpcp import CpcpState, solve_cpcp
+from .cpcp import solve_cpcp
 from .datasets import (
     PlantedProblem,
     RatingDataset,
@@ -31,7 +31,6 @@ from .prox import soft_threshold, svt
 from .rmc import adjust_rank_once, solve_mc, solve_rmc, solve_rpca
 
 __all__ = [
-    "CpcpState",
     "IterationRecord",
     "ObservationMask",
     "PlantedProblem",

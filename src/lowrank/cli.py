@@ -45,7 +45,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     sub.add_argument("--adjust-rank", dest="adjust_rank", action="store_const",
                      const=True, default=None)
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--config", default=None,
                      help="key=value file; explicit flags win")
     sub.add_argument("--out-dir", required=True)
@@ -136,7 +135,6 @@ def _build_solver_config(args, default_max_iter):
         tol=pick("tol", float),
         max_iter=pick("max_iter", int),
         adjust_rank=pick("adjust_rank", bool),
-        seed=pick("seed", int),
     )
 
 

@@ -18,6 +18,7 @@ class SolverConfig:
     tol: float = 1e-4                # relative stopping tolerance
     max_iter: int = 500
     adjust_rank: bool = False
+    # No solver reads seed; it stays because perfbench/run.py passes seed=.
     seed: int = 0
 
     def validate(self):

@@ -1,18 +1,25 @@
-"""Linearized ADMM for low-rank plus sparse recovery from subspace measurements.
+"""Linearized ADMM for low-rank plus sparse recovery from linear measurements.
 
-The data-fit quadratic couples all matrix entries through the measurement
-operator, so the factor and sparse updates each linearize it at the current
-point and take a gradient step scaled by the reciprocal operator norm of the
-measurement Gram operator, followed by the matching proximal map. The
-multiplier lives in measurement space.
+The solver reads four members of its measurement operator ``q``: ``shape``,
+``dim``, ``forward`` and ``adjoint`` (the contract of
+``lowrank.measurements``). So ``q`` may be a random ``SubspaceOperator`` or an
+``ObservationMask``, whose entry sampling is measurement against the subspace
+of indicator matrices.
+
+The data-fit quadratic couples all matrix entries through the operator, so the
+factor and sparse updates each linearize it at the current point and take a
+gradient step followed by the matching proximal map. The operator's rows are
+orthonormal, so its Gram operator ``adjoint(forward(.))`` is an orthogonal
+projection of norm 1 and the step is 1 / alpha. The multiplier lives in
+measurement space.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import IterationRecord, SolveResult
-from .linalg import spectral_norm
+# perfbench/tracing.py patches spectral_norm in this module, so it stays
+# importable from it; the solver does not call it.
+from .linalg import spectral_norm  # noqa: F401
 from .prox import soft_threshold, svt
 from .rmc import nuclear_norm, orthonormal_factor
 
@@ -20,27 +27,14 @@ from .rmc import nuclear_norm, orthonormal_factor
 _RATIO_FLOOR = 1e-30
 
 
-@dataclass
-class CpcpState:
-    """Per-iteration snapshot handed to the diagnostics callback."""
-
-    iteration: int
-    u: np.ndarray
-    v: np.ndarray
-    s: np.ndarray
-    t: np.ndarray          # cached u @ v.T
-    y: np.ndarray          # measurement-space multiplier, length p
-    alpha: float
-    tau: float
-    grad_t: np.ndarray     # data-fit gradient at the previous product
-    grad_s: np.ndarray     # data-fit gradient at the previous sparse part
-    t_prev: np.ndarray     # product before this iteration's update
-    s_prev: np.ndarray     # sparse part before this iteration's update
-    dual_prev: np.ndarray  # multiplier the gradients were evaluated with
-
-
 def solve_cpcp(y_meas, q, cfg, iter_callback=None):
-    """Recover a low-rank plus sparse matrix from p linear measurements."""
+    """Recover a low-rank plus sparse matrix from p linear measurements.
+
+    ``q`` is a measurement operator with orthonormal rows, a mask included.
+    ``iter_callback(k, u, v, s, y)`` is invoked after each iteration's dual
+    update, as for the other solvers, with the m x n sparse part S and the
+    length-p measurement-space multiplier y, as in ``SolveResult.y``.
+    """
     cfg.validate()
     y_meas = np.asarray(y_meas, dtype=np.float64)
     if y_meas.ndim != 1 or y_meas.shape[0] != q.dim:
@@ -58,10 +52,6 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     y_norm = float(np.linalg.norm(y_meas))
     alpha = (1.0 / y_norm if y_norm > 0 else 1.0) \
         if cfg.alpha0 == "auto" else float(cfg.alpha0)
-    # For an orthonormal basis the measurement Gram operator is an orthogonal
-    # projection with unit norm; computed anyway so arbitrary operators work.
-    gram_norm = spectral_norm(q.project, (m, n), seed=cfg.seed)
-    tau = 1.0 / gram_norm
 
     d = cfg.d
     u = np.eye(m, d)
@@ -76,12 +66,10 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     termination = "max_iter_reached"
 
     for k in range(1, cfg.max_iter + 1):
-        t_prev, s_prev, dual_prev = t, s, dual
-        # The data-fit gradient carries a factor alpha, so the stable step
-        # length is tau / alpha (reciprocal of the quadratic's Lipschitz
-        # constant alpha * ||gram||); the raw 1/tau step diverges once the
-        # penalty grows past the operator norm.
-        step = tau / alpha
+        t_prev, s_prev = t, s
+        # The data-fit gradient carries a factor alpha and the Gram operator
+        # has norm 1, so the quadratic's Lipschitz constant is alpha.
+        step = 1.0 / alpha
         grad_t = alpha * q.adjoint(fit - y_meas - dual / alpha)
         b = t - step * grad_t
         u = orthonormal_factor(b @ v, u, "qr")
@@ -103,10 +91,7 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         ratio = numer / denom if denom >= _RATIO_FLOOR else None
         trace.append(IterationRecord(k, residual, objective, alpha, d, ratio))
         if iter_callback is not None:
-            iter_callback(
-                CpcpState(k, u, v, s, t, dual, alpha, tau, grad_t, grad_s,
-                          t_prev, s_prev, dual_prev)
-            )
+            iter_callback(k, u, v, s, dual)
         if k > 1 and ratio is not None and ratio < cfg.tol:
             termination = "converged"
             break

@@ -1,7 +1,8 @@
 """Dense linear-algebra kernels: thin QR, thin SVD, spectral-norm estimation.
 
-These are the only numerical primitives the solvers need. All functions are
-pure and operate on plain float64 numpy arrays (row-major).
+Thin QR and SVD are the numerical primitives the solvers need; no solver
+calls ``spectral_norm``. All functions are pure and operate on plain float64
+numpy arrays (row-major).
 """
 
 from dataclasses import dataclass
@@ -46,9 +47,6 @@ class ThinSvd:
     @property
     def rank(self):
         return self.sigma.size
-
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.v.T
 
 
 def qr_thin(a):

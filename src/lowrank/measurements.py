@@ -34,17 +34,19 @@ def _check_length(y, dim):
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationMask:
-    """Index set of observed entries, stored as a boolean marker matrix that
-    must not change once ``flat_indices`` has been read."""
+    """Index set of observed entries, stored as a read-only copy of a boolean
+    marker matrix. Masks compare and hash by identity."""
 
     marker: np.ndarray  # bool, shape (rows, cols)
 
     def __post_init__(self):
-        marker = np.asarray(self.marker, dtype=bool)
+        marker = np.array(self.marker, dtype=bool)
         if marker.ndim != 2:
             raise ValueError("mask marker must be 2-D")
+        # flat_indices is computed once from the marker, so it must not change
+        marker.flags.writeable = False
         object.__setattr__(self, "marker", marker)
 
     @classmethod
@@ -175,10 +177,6 @@ class SubspaceOperator:
     def adjoint(self, y):
         y = _check_length(y, self.dim)
         return (self.basis.T @ y).reshape(self.shape)
-
-    def project(self, a):
-        """Orthogonal projection in matrix space (adjoint of forward)."""
-        return self.adjoint(self.forward(a))
 
 
 def draw_random_subspace(m, n, p, seed):

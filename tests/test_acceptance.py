@@ -249,7 +249,7 @@ def test_criterion_10_cli_determinism(tmp_path):
              "--out-dir", str(synth_dir)],
             ["rmc", "--data", str(synth_dir / "d_obs.txt"),
              "--mask", str(synth_dir / "mask.txt"), "--rank", "6",
-             "--seed", "11", "--out-dir", str(est_dir)],
+             "--out-dir", str(est_dir)],
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "lowrank.cli", *argv],

@@ -106,6 +106,14 @@ class TestSolveCommands:
         assert (est / "U.txt").exists()
         assert len((est / "trace.csv").read_text().splitlines()) == 4
 
+    def test_solver_has_no_seed_flag(self, tmp_path, capsys):
+        # no solver draws random numbers; the seed belongs to synth
+        truth = synth(tmp_path, rows=20, cols=20, rank=2)
+        code = run("rpca", "--data", str(truth / "d_obs.txt"), "--seed", "1",
+                   "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_invalid_tol_rejected(self, tmp_path, capsys):
         truth = synth(tmp_path)
         code = run("rpca", "--data", str(truth / "d_obs.txt"),

@@ -6,6 +6,8 @@ from lowrank.cpcp import data_fit_gradient, solve_cpcp
 from lowrank.datasets import generate_planted
 from lowrank.measurements import draw_random_subspace
 from lowrank.metrics import relative_error
+from lowrank.prox import soft_threshold, svt
+from lowrank.rmc import orthonormal_factor, solve_rmc
 
 
 def measured_problem(m=20, n=16, r=2, p=200, seed=0, spike_frac=0.05):
@@ -25,11 +27,23 @@ class TestSolveCpcp:
 
     def test_planted_recovery_from_dense_measurements(self):
         prob, q, y = measured_problem(m=30, n=30, r=3, p=675, seed=1)
-        cfg = SolverConfig(lam=np.sqrt(30.0), d=6, tol=1e-10, max_iter=1000,
-                           seed=1)
+        cfg = SolverConfig(lam=np.sqrt(30.0), d=6, tol=1e-10, max_iter=1000)
         res = solve_cpcp(y, q, cfg)
         assert res.termination == "converged"
         assert relative_error(res.low_rank(), prob.l0) <= 5e-2
+
+    def test_mask_operator_recovers_like_rmc(self):
+        # entry sampling is measurement against the subspace of indicator
+        # matrices, so a mask is a CPCP operator and both solvers recover L
+        prob = generate_planted(30, 30, 2, spike_frac=0.05, obs_frac=0.8,
+                                seed=3)
+        cfg = SolverConfig(lam=np.sqrt(24.0), d=4, tol=1e-10, max_iter=1000)
+        res = solve_cpcp(prob.mask.forward(prob.d_obs), prob.mask, cfg)
+        ref = solve_rmc(prob.d_obs, prob.mask, cfg)
+        assert res.termination == "converged"
+        assert relative_error(res.low_rank(), prob.l0) <= 1e-3
+        assert relative_error(ref.low_rank(), prob.l0) <= 1e-3
+        assert res.y.shape == (prob.mask.dim,)
 
     def test_measurement_length_mismatch(self):
         q = draw_random_subspace(5, 5, 10, seed=2)
@@ -57,22 +71,9 @@ class TestSolveCpcp:
         assert all(rec.stop_ratio is None or rec.stop_ratio >= 0
                    for rec in res.trace)
 
-    def test_step_length_for_orthonormal_basis(self):
-        # the measurement Gram operator of an orthonormal basis is a
-        # projection, so the raw step scale is one
-        _, q, y = measured_problem(seed=6)
-        taus = []
-        solve_cpcp(y, q, SolverConfig(lam=2.0, d=4, max_iter=3),
-                   iter_callback=lambda st: taus.append(st.tau))
-        assert all(t == pytest.approx(1.0, rel=1e-5) for t in taus)
-
 
 class CountingOperator:
-    """Wraps a subspace operator and counts the solver's forward calls.
-
-    ``project`` goes to the wrapped operator, so the operator-norm estimate
-    made before the loop is not counted.
-    """
+    """Exposes only the four operator members and counts forward calls."""
 
     def __init__(self, q):
         self.q = q
@@ -80,7 +81,6 @@ class CountingOperator:
         self.shape = q.shape
         self.dim = q.dim
         self.adjoint = q.adjoint
-        self.project = q.project
 
     def forward(self, a):
         self.forward_calls += 1
@@ -93,42 +93,55 @@ class TestForwardReuse:
         counting = CountingOperator(q)
         calls = []
         res = solve_cpcp(y, counting, SolverConfig(lam=2.0, d=4, max_iter=20),
-                         iter_callback=lambda st: calls.append(
+                         iter_callback=lambda *snapshot: calls.append(
                              counting.forward_calls))
         assert calls == [1 + 2 * k for k in range(1, res.iterations + 1)]
 
-    def test_product_gradient_uses_previous_iterate(self):
-        _, q, y = measured_problem(seed=10)
-        states = []
-        solve_cpcp(y, q, SolverConfig(lam=2.0, d=4, max_iter=20),
-                   iter_callback=states.append)
-        for st in states:
-            expected = data_fit_gradient(st.t_prev, st.s_prev, y,
-                                         st.dual_prev, st.alpha, q)
-            assert np.array_equal(st.grad_t, expected)
-
 
 class TestIterationInvariants:
-    def collect(self, seed=7, iters=25):
-        prob, q, y = measured_problem(seed=seed)
-        states = []
-        solve_cpcp(y, q, SolverConfig(lam=2.0, d=4, max_iter=iters,
-                                      tol=1e-14),
-                   iter_callback=states.append)
-        return q, y, states
+    LAM = 2.0
 
-    def test_product_cache_coherent(self):
-        _, _, states = self.collect()
-        for st in states:
-            assert np.linalg.norm(st.t - st.u @ st.v.T) <= 1e-10 * max(
-                np.linalg.norm(st.t), 1.0
-            )
+    def collect(self, seed=7, iters=25):
+        """Operator, measurements, result, and one (u, v, s, y) snapshot per
+        iteration; snapshot 0 is the starting point of the solver."""
+        _, q, y = measured_problem(seed=seed)
+        m, n = q.shape
+        d = 4
+        snaps = [(np.eye(m, d), np.zeros((n, d)), np.zeros((m, n)),
+                  np.zeros(q.dim))]
+        res = solve_cpcp(y, q, SolverConfig(lam=self.LAM, d=d, max_iter=iters,
+                                            tol=1e-14),
+                         iter_callback=lambda k, *snap: snaps.append(snap))
+        assert len(snaps) == res.iterations + 1
+        return q, y, res, snaps
+
+    def test_iteration_recomputed_from_previous_snapshot(self):
+        # iteration k is a function of snapshot k-1, the measurements and the
+        # recorded penalty: linearized product step with step 1/alpha, then
+        # the sparse step at the new product, then dual ascent
+        q, y, res, snaps = self.collect(seed=10, iters=20)
+        for k in range(1, len(snaps)):
+            u, v, s, dual = snaps[k - 1]
+            alpha = res.trace[k - 1].alpha
+            step = 1.0 / alpha
+            t = u @ v.T
+            b = t - step * data_fit_gradient(t, s, y, dual, alpha, q)
+            u = orthonormal_factor(b @ v, u, "qr")
+            v = svt((u.T @ b).T, self.LAM / alpha)
+            t = u @ v.T
+            grad_s = data_fit_gradient(s, t, y, dual, alpha, q)
+            s = soft_threshold(s - step * grad_s, 1.0 / alpha)
+            dual = dual + alpha * (y - q.forward(t + s))
+            u_k, v_k, s_k, dual_k = snaps[k]
+            assert np.array_equal(t, u_k @ v_k.T), k
+            assert np.array_equal(s, s_k), k
+            assert np.array_equal(dual, dual_k), k
 
     def test_factor_orthonormal(self):
-        _, _, states = self.collect()
-        for st in states:
-            d = st.u.shape[1]
-            assert np.max(np.abs(st.u.T @ st.u - np.eye(d))) <= 1e-8
+        _, _, _, snaps = self.collect()
+        for u, _, _, _ in snaps[1:]:
+            d = u.shape[1]
+            assert np.max(np.abs(u.T @ u - np.eye(d))) <= 1e-8
 
     def test_gradient_matches_finite_differences(self):
         _, q, y = measured_problem(m=6, n=6, p=20, seed=8)
@@ -156,20 +169,25 @@ class TestIterationInvariants:
     def test_linearized_surrogate_majorizes_data_fit(self):
         # each product update minimizes the local quadratic model; that model
         # must sit above the true data-fit term at the produced point
-        q, y, states = self.collect(seed=9)
+        q, y, res, snaps = self.collect(seed=9)
 
         def g(x, s, dual, alpha):
             resid = q.forward(x + s) - y - dual / alpha
             return 0.5 * alpha * float(resid @ resid)
 
-        for st in states:
-            step = st.tau / st.alpha
+        for k in range(1, len(snaps)):
+            u_prev, v_prev, s_prev, dual_prev = snaps[k - 1]
+            u, v = snaps[k][:2]
+            alpha = res.trace[k - 1].alpha
+            t_prev, t = u_prev @ v_prev.T, u @ v.T
+            grad_t = data_fit_gradient(t_prev, s_prev, y, dual_prev, alpha, q)
+            step = 1.0 / alpha
             lin = (
-                g(st.t_prev, st.s_prev, st.dual_prev, st.alpha)
-                + float(np.sum(st.grad_t * (st.t - st.t_prev)))
-                + np.linalg.norm(st.t - st.t_prev) ** 2 / (2 * step)
+                g(t_prev, s_prev, dual_prev, alpha)
+                + float(np.sum(grad_t * (t - t_prev)))
+                + np.linalg.norm(t - t_prev) ** 2 / (2 * step)
             )
-            actual = g(st.t, st.s_prev, st.dual_prev, st.alpha)
+            actual = g(t, s_prev, dual_prev, alpha)
             assert lin >= actual - 1e-6 * (1.0 + abs(actual))
 
 
@@ -179,8 +197,7 @@ class TestRpcaCrossConsistency:
         # recovered sum must reproduce the data even though the splitting
         # differs from the direct factorization solver
         prob, q, y = measured_problem(m=12, n=10, r=2, p=120, seed=10)
-        cfg = SolverConfig(lam=np.sqrt(12.0), d=4, tol=1e-12, max_iter=1500,
-                           seed=10)
+        cfg = SolverConfig(lam=np.sqrt(12.0), d=4, tol=1e-12, max_iter=1500)
         res = solve_cpcp(y, q, cfg)
         data = prob.l0 + prob.s0
         assert relative_error(res.low_rank() + res.s, data) <= 1e-3

@@ -35,6 +35,25 @@ class TestObservationMask:
         save_mask(path, mask)
         np.testing.assert_array_equal(load_mask(path).marker, mask.marker)
 
+    def test_identity_equality_and_hash(self):
+        a, b = ObservationMask.full(2, 2), ObservationMask.full(2, 2)
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+    def test_marker_is_read_only(self):
+        mask = ObservationMask.full(2, 3)
+        with pytest.raises(ValueError):
+            mask.marker[0, 0] = False
+
+    def test_caller_array_is_copied(self):
+        marker = np.array([[True, False], [False, True]])
+        mask = ObservationMask(marker)
+        marker[0, 1] = True
+        np.testing.assert_array_equal(
+            mask.forward(np.arange(4.0).reshape(2, 2)), [0.0, 3.0])
+
 
 class TestMaskFile:
     def write(self, tmp_path, text):
@@ -148,7 +167,7 @@ class TestSubspaceOperator:
     def test_orthogonal_input_maps_to_zero(self):
         q = draw_random_subspace(3, 3, 2, seed=1)
         a = np.random.default_rng(5).standard_normal((3, 3))
-        a -= q.project(a)
+        a -= q.adjoint(q.forward(a))
         assert np.linalg.norm(q.forward(a)) <= 1e-10
 
     def test_forward_is_a_contraction(self):
@@ -192,10 +211,12 @@ class TestDrawRandomSubspace:
         )
 
     def test_rank_one_projection_norm(self):
+        # solve_cpcp's unit step assumes this Gram operator norm
         from lowrank.linalg import spectral_norm
 
         q = draw_random_subspace(4, 4, 1, seed=1)
-        assert spectral_norm(q.project, (4, 4)) == pytest.approx(1.0, rel=1e-6)
+        gram = lambda a: q.adjoint(q.forward(a))
+        assert spectral_norm(gram, (4, 4)) == pytest.approx(1.0, rel=1e-6)
 
     def test_gram_matrix_is_identity(self):
         q = draw_random_subspace(8, 8, 48, seed=2)
@@ -218,10 +239,10 @@ class TestDrawRandomSubspace:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((5, 4))
         b = rng.standard_normal((5, 4))
-        np.testing.assert_allclose(q.project(q.project(a)), q.project(a),
-                                   atol=1e-8)
-        assert np.sum(q.project(a) * b) == pytest.approx(
-            np.sum(a * q.project(b)), abs=1e-8
+        project = lambda x: q.adjoint(q.forward(x))
+        np.testing.assert_allclose(project(project(a)), project(a), atol=1e-8)
+        assert np.sum(project(a) * b) == pytest.approx(
+            np.sum(a * project(b)), abs=1e-8
         )
 
 

@@ -87,6 +87,24 @@ class CountingOperator:
         return self.q.forward(a)
 
 
+LAM = 2.0
+
+
+def collect(seed=7, iters=25):
+    """Operator, measurements, result, and one (u, v, s, y) snapshot per
+    iteration; snapshot 0 is the starting point of the solver."""
+    _, q, y = measured_problem(seed=seed)
+    m, n = q.shape
+    d = 4
+    snaps = [(np.eye(m, d), np.zeros((n, d)), np.zeros((m, n)),
+              np.zeros(q.dim))]
+    res = solve_cpcp(y, q, SolverConfig(lam=LAM, d=d, max_iter=iters,
+                                        tol=1e-14),
+                     iter_callback=lambda k, *snap: snaps.append(snap))
+    assert len(snaps) == res.iterations + 1
+    return q, y, res, snaps
+
+
 class TestForwardReuse:
     def test_two_forward_calls_per_iteration(self):
         _, q, y = measured_problem(seed=9)
@@ -97,29 +115,10 @@ class TestForwardReuse:
                              counting.forward_calls))
         assert calls == [1 + 2 * k for k in range(1, res.iterations + 1)]
 
-
-class TestIterationInvariants:
-    LAM = 2.0
-
-    def collect(self, seed=7, iters=25):
-        """Operator, measurements, result, and one (u, v, s, y) snapshot per
-        iteration; snapshot 0 is the starting point of the solver."""
-        _, q, y = measured_problem(seed=seed)
-        m, n = q.shape
-        d = 4
-        snaps = [(np.eye(m, d), np.zeros((n, d)), np.zeros((m, n)),
-                  np.zeros(q.dim))]
-        res = solve_cpcp(y, q, SolverConfig(lam=self.LAM, d=d, max_iter=iters,
-                                            tol=1e-14),
-                         iter_callback=lambda k, *snap: snaps.append(snap))
-        assert len(snaps) == res.iterations + 1
-        return q, y, res, snaps
-
-    def test_iteration_recomputed_from_previous_snapshot(self):
-        # iteration k is a function of snapshot k-1, the measurements and the
-        # recorded penalty: linearized product step with step 1/alpha, then
-        # the sparse step at the new product, then dual ascent
-        q, y, res, snaps = self.collect(seed=10, iters=20)
+    def test_product_gradient_uses_previous_iterate(self):
+        # the product step of iteration k linearizes at snapshot k-1 (the
+        # forward product the solver reuses) and steps 1/alpha
+        q, y, res, snaps = collect(seed=10, iters=20)
         for k in range(1, len(snaps)):
             u, v, s, dual = snaps[k - 1]
             alpha = res.trace[k - 1].alpha
@@ -127,18 +126,30 @@ class TestIterationInvariants:
             t = u @ v.T
             b = t - step * data_fit_gradient(t, s, y, dual, alpha, q)
             u = orthonormal_factor(b @ v, u, "qr")
-            v = svt((u.T @ b).T, self.LAM / alpha)
-            t = u @ v.T
+            v = svt((u.T @ b).T, LAM / alpha)
+            u_k, v_k = snaps[k][:2]
+            assert np.array_equal(u @ v.T, u_k @ v_k.T), k
+
+
+class TestIterationInvariants:
+    def test_product_cache_coherent(self):
+        # the sparse and dual steps of iteration k use the product U V^T of
+        # the factors it reports, not a stale or separately held copy
+        q, y, res, snaps = collect(seed=10, iters=20)
+        for k in range(1, len(snaps)):
+            _, _, s, dual = snaps[k - 1]
+            u_k, v_k, s_k, dual_k = snaps[k]
+            alpha = res.trace[k - 1].alpha
+            step = 1.0 / alpha
+            t = u_k @ v_k.T
             grad_s = data_fit_gradient(s, t, y, dual, alpha, q)
             s = soft_threshold(s - step * grad_s, 1.0 / alpha)
             dual = dual + alpha * (y - q.forward(t + s))
-            u_k, v_k, s_k, dual_k = snaps[k]
-            assert np.array_equal(t, u_k @ v_k.T), k
             assert np.array_equal(s, s_k), k
             assert np.array_equal(dual, dual_k), k
 
     def test_factor_orthonormal(self):
-        _, _, _, snaps = self.collect()
+        _, _, _, snaps = collect()
         for u, _, _, _ in snaps[1:]:
             d = u.shape[1]
             assert np.max(np.abs(u.T @ u - np.eye(d))) <= 1e-8
@@ -169,7 +180,7 @@ class TestIterationInvariants:
     def test_linearized_surrogate_majorizes_data_fit(self):
         # each product update minimizes the local quadratic model; that model
         # must sit above the true data-fit term at the produced point
-        q, y, res, snaps = self.collect(seed=9)
+        q, y, res, snaps = collect(seed=9)
 
         def g(x, s, dual, alpha):
             resid = q.forward(x + s) - y - dual / alpha

@@ -2,13 +2,15 @@
 """Collaborative-filtering benchmark on synthetic (or real) rating triplets.
 
 Completes the sparse user-item matrix at several factor rank bounds and
-reports held-out RMSE against the global-mean baseline. Pass --ratings to
+reports held-out RMSE against the global-mean baseline, with the iteration
+count and milliseconds per iteration of each solve. Pass --ratings to
 score a real triplet file ("user item rating", "u::i::r::t", or CSV);
 without it a rank-5 preference matrix is synthesized.
 """
 
 import argparse
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +57,13 @@ def main(argv=None):
 
     for d in args.ranks:
         cfg = SolverConfig(lam=args.lam, d=d, tol=1e-6, max_iter=800)
+        start = time.perf_counter()
         res = solve_mc(train, mask, cfg)
+        per_iter_ms = 1e3 * (time.perf_counter() - start) / res.iterations
         pred = np.clip(res.low_rank(), 1.0, 5.0)
         print(f"d={d:>3}: test RMSE {rmse(pred, ds.test):.4f} "
-              f"({res.iterations} iterations, {res.termination})")
+              f"({res.iterations} iterations, {per_iter_ms:.2f} ms/iteration, "
+              f"{res.termination})")
 
 
 if __name__ == "__main__":

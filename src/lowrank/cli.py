@@ -107,12 +107,30 @@ def _read_config_file(path):
     return values
 
 
+# Solver flag (and config file key) -> how its text is read.
+SOLVER_CASTS = {
+    "lam": _auto_or_float,
+    "rank": int,
+    "rho": float,
+    "alpha0": _auto_or_float,
+    "alpha_max": float,
+    "tol": float,
+    "max_iter": int,
+    "adjust_rank": bool,
+}
+
+
 def _build_solver_config(args, default_max_iter):
     file_values = {}
     if args.config is not None:
         file_values = _read_config_file(args.config)
+        unknown = sorted(set(file_values) - set(SOLVER_CASTS))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown key {unknown[0]!r}; "
+                             f"expected one of {', '.join(SOLVER_CASTS)}")
 
-    def pick(name, cast):
+    def pick(name):
+        cast = SOLVER_CASTS[name]
         flag = getattr(args, name)
         if flag is not None:
             return flag
@@ -126,16 +144,9 @@ def _build_solver_config(args, default_max_iter):
         default = SOLVER_DEFAULTS[name]
         return default_max_iter if name == "max_iter" else default
 
-    return SolverConfig(
-        lam=pick("lam", _auto_or_float),
-        d=pick("rank", int),
-        rho=pick("rho", float),
-        alpha0=pick("alpha0", _auto_or_float),
-        alpha_max=pick("alpha_max", float),
-        tol=pick("tol", float),
-        max_iter=pick("max_iter", int),
-        adjust_rank=pick("adjust_rank", bool),
-    )
+    picked = {name: pick(name) for name in SOLVER_CASTS}
+    picked["d"] = picked.pop("rank")
+    return SolverConfig(**picked)
 
 
 def _write_result(out_dir, result, include_ratio=False):

@@ -53,7 +53,7 @@ def generate_planted(m, n, r, spike_frac, magnitude=1.0, obs_frac=1.0, seed=0):
     marker = rng.random((m, n)) < obs_frac
     if not marker.any():
         marker[0, 0] = True  # keep the instance solvable
-    mask = ObservationMask(marker)
+    mask = ObservationMask._adopt(marker)
     d_obs = mask_project(l0 + s0, mask)
     return PlantedProblem(l0=l0, s0=s0, mask=mask, d_obs=d_obs, seed=seed, rank=r)
 

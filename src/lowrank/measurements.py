@@ -36,18 +36,30 @@ def _check_length(y, dim):
 
 @dataclass(frozen=True, eq=False)
 class ObservationMask:
-    """Index set of observed entries, stored as a read-only copy of a boolean
-    marker matrix. Masks compare and hash by identity."""
+    """Index set of observed entries, stored as a read-only boolean marker
+    matrix: a copy of the caller's, or the one that ``from_indices``,
+    ``full`` or ``generate_planted`` made for the mask alone. Masks compare
+    and hash by identity."""
 
     marker: np.ndarray  # bool, shape (rows, cols)
 
     def __post_init__(self):
-        marker = np.array(self.marker, dtype=bool)
+        self._own(np.array(self.marker, dtype=bool))
+
+    def _own(self, marker):
         if marker.ndim != 2:
             raise ValueError("mask marker must be 2-D")
         # flat_indices is computed once from the marker, so it must not change
         marker.flags.writeable = False
         object.__setattr__(self, "marker", marker)
+
+    @classmethod
+    def _adopt(cls, marker):
+        """A mask that keeps ``marker``, a boolean array nothing else refers
+        to, without copying it."""
+        mask = object.__new__(cls)
+        mask._own(marker)
+        return mask
 
     @classmethod
     def from_indices(cls, rows, cols, pairs):
@@ -60,19 +72,19 @@ class ObservationMask:
                 f"mask index ({bad_i}, {bad_j}) out of range {rows}x{cols}"
             )
         flat = i * cols + j
-        marker = np.zeros(rows * cols, dtype=bool)
-        marker[flat] = True
+        marker = np.zeros((rows, cols), dtype=bool)
+        marker.reshape(-1)[flat] = True
         if np.count_nonzero(marker) != flat.size:
             _, first = np.unique(flat, return_index=True)
             repeat = np.ones(flat.size, dtype=bool)
             repeat[first] = False
             dup_i, dup_j = pairs[np.argmax(repeat)]
             raise ValueError(f"duplicate mask index ({dup_i}, {dup_j})")
-        return cls(marker.reshape(rows, cols))
+        return cls._adopt(marker)
 
     @classmethod
     def full(cls, rows, cols):
-        return cls(np.ones((rows, cols), dtype=bool))
+        return cls._adopt(np.ones((rows, cols), dtype=bool))
 
     @property
     def shape(self):

@@ -14,12 +14,15 @@ with P are therefore a rank-d term plus a product with a matrix E that is
 zero off Omega (the sparse-plus-low-rank products of Mazumder, Hastie and
 Tibshirani's Soft-Impute). Below an observed fraction |Omega| / mn of
 SPARSE_DENSITY, E is a CSR array whose values are the Omega vector itself:
-its two products cost O(|Omega| d), and an iteration adds one m x n GEMM of
-width d for U V^T, read on Omega. Above the cut, E is a dense m x n buffer
-and an iteration costs three m x n GEMMs of width d (E V, E^T U and U V^T).
-Either way the rest is O(|Omega|) elementwise work on vectors held in
-buffers allocated once; the dense sparse part and multiplier are formed only
-for ``iter_callback`` and for the result.
+its two products cost O(|Omega| d). L = U V^T is then needed only on Omega,
+and is evaluated block by block: one GEMM per block of rows that holds
+Omega entries, into one small reused buffer, from which the block's Omega
+entries are taken. No m x n array is allocated in the loop. Above the cut,
+E is a dense m x n buffer and an iteration costs three m x n GEMMs of width
+d (E V, E^T U and U V^T into a second buffer, read on Omega). Either way
+the rest is O(|Omega|) elementwise work on vectors held in buffers
+allocated once; the dense product, sparse part and multiplier are formed
+only for ``iter_callback`` and for the result.
 """
 
 import math
@@ -40,10 +43,20 @@ from .prox import soft_threshold, svt
 _DEGENERATE = 1e-300
 
 # Below this observed fraction |Omega| / mn the two products with the
-# Omega-supported matrix E are taken in CSR form; above it dense BLAS on an
-# m x n buffer is faster. One BLAS thread, d = 10-20, 500^2-1000^2: the two
-# cost the same at 0.2-0.35.
+# Omega-supported matrix E are taken in CSR form and U V^T is evaluated on
+# Omega by row blocks; above it dense BLAS on m x n buffers is faster. One
+# BLAS thread, d = 10-20, 500^2-1000^2: the CSR and dense products of E cost
+# the same at 0.2-0.35, and at 500^2, 70% observed, d = 20 one full GEMM of
+# U V^T plus the take beats the blocks (0.62 ms against 0.65 ms).
 SPARSE_DENSITY = 0.25
+
+# On the CSR path U V^T is evaluated by blocks of rows whose product holds
+# about this many entries, so the reused block buffer (512 KiB) stays in L2.
+# One BLAS thread, d = 10, shortest of repeated runs: L on Omega at
+# 1000 x 500, 4.5% observed, took 0.45 ms in blocks of 2^16 entries, 0.51 ms
+# in blocks of 2^15 and 0.59 ms as one GEMM; at 10000 x 5000, 1%, blocks of
+# 2^16 took 42 ms and of 2^15 (6 rows each) 58 ms.
+BLOCK_ENTRIES = 2**16
 
 # The once-only rank adjustment is first evaluated at this iteration.
 RANK_ADJUST_START = 3
@@ -114,14 +127,23 @@ def _rank_truncation_basis(v, new_d):
 
 
 def _omega_matrix(mask, csr):
-    """An m x n matrix E that is zero off Omega, kept with its Omega values.
+    """An m x n matrix E that is zero off Omega, kept with its Omega values,
+    and the evaluation of L = U V^T on Omega.
 
-    Returns ``(values, load)``: the caller writes E on Omega, in the mask's
-    row-major order, into ``values``, and ``load()`` returns E and E^T ready
-    for products. With ``csr``, E is a CSR array whose ``data`` is ``values``
-    and E^T a CSC view of the same array, so loading is free and each product
-    costs O(|Omega| d). Otherwise E is a dense m x n buffer, zeroed once, that
-    ``load`` writes at Omega, and each product is a dense GEMM.
+    Returns ``(values, load, low_rank)``: the caller writes E on Omega, in the
+    mask's row-major order, into ``values``, and ``load()`` returns E and E^T
+    ready for products. ``low_rank(u, v, out, product=None)`` writes U V^T on
+    Omega into ``out``; given an m x n ``product``, it writes all of U V^T
+    there too.
+
+    With ``csr``, E is a CSR array whose ``data`` is ``values`` and E^T a CSC
+    view of the same array, so loading is free and each product costs
+    O(|Omega| d). U V^T is evaluated by blocks of rows, one GEMM per block
+    that holds Omega entries, into one buffer of about BLOCK_ENTRIES entries;
+    the block bounds in Omega and the block-local indices are computed here,
+    in O(|Omega|) memory. Otherwise E is a dense m x n buffer, zeroed once,
+    that ``load`` writes at Omega, each product is a dense GEMM, and U V^T is
+    one GEMM into a second m x n buffer.
     """
     m, n = mask.shape
     flat = mask.flat_indices
@@ -132,15 +154,44 @@ def _omega_matrix(mask, csr):
         e_t = e.T
         if not np.shares_memory(e_t.data, e.data):
             raise RuntimeError("the CSC transpose does not share the CSR values")
-        return e.data, lambda: (e, e_t)
+        rows = max(1, BLOCK_ENTRIES // n)
+        starts = np.arange(0, m, rows)
+        bounds = indptr[np.append(starts, m)]   # each block's span of Omega
+        # flat index minus the flat index of its block's first entry
+        local = flat - np.repeat(starts * n, np.diff(bounds))
+        buffer = np.empty((min(rows, m), n))
+        # (rows, Omega span, block-local indices, buffer view) of each block
+        blocks = [(slice(r0, r1), slice(lo, hi), local[lo:hi], buffer[:r1 - r0])
+                  for r0, r1, lo, hi in zip(
+                      starts.tolist(), np.minimum(starts + rows, m).tolist(),
+                      bounds[:-1].tolist(), bounds[1:].tolist())]
+
+        def low_rank(u, v, out, product=None):
+            for block_rows, span, indices, block in blocks:
+                if product is not None:
+                    block = product[block_rows]
+                elif span.start == span.stop:
+                    continue
+                np.matmul(u[block_rows], v.T, out=block)
+                # indices in range: mode="clip" lets take write out unbuffered
+                np.take(block.reshape(-1), indices, out=out[span], mode="clip")
+
+        return e.data, lambda: (e, e_t), low_rank
+
     e = np.zeros((m, n))
     values = np.zeros(flat.size)
+    buffer = np.empty((m, n))
 
     def load():
         e.reshape(-1)[flat] = values
         return e, e.T
 
-    return values, load
+    def low_rank(u, v, out, product=None):
+        product = buffer if product is None else product
+        np.matmul(u, v.T, out=product)
+        np.take(product.reshape(-1), flat, out=out, mode="clip")
+
+    return values, load, low_rank
 
 
 def _product_change(u, v, u_prev, v_prev):
@@ -199,14 +250,14 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
     # truncates U and V but not these.
     u_prev, v_prev = u, v
     # E = P - U_prev V_prev^T is zero off Omega; ``values`` holds it on Omega
-    values, load = _omega_matrix(mask, mask.dim < SPARSE_DENSITY * m * n)
+    values, load, low_rank = _omega_matrix(mask,
+                                           mask.dim < SPARSE_DENSITY * m * n)
     z = data.copy()
     y = np.zeros_like(data)
     low = np.zeros_like(data)      # U_prev V_prev^T on Omega
     scaled = np.empty_like(data)   # Y / alpha
     gap = np.empty_like(data)      # Z - U V^T on Omega
     work = np.empty_like(data)
-    product = np.empty((m, n))     # U V^T
     adjusted = False
     trace = []
     termination = "max_iter_reached"
@@ -218,9 +269,9 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
         e, e_t = load()
         u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u, u_scheme)
         v = svt(v_prev @ (u_prev.T @ u) + e_t @ u, lam / alpha)
-        np.matmul(u, v.T, out=product)
-        # indices in range: mode="clip" lets take write out unbuffered
-        np.take(product.reshape(-1), mask.flat_indices, out=low, mode="clip")
+        # the dense U V^T, formed only for the callback, which keeps it
+        product = None if iter_callback is None else np.empty((m, n))
+        low_rank(u, v, low, product)
         update(data, low, y, scaled, alpha, z)
         np.subtract(z, low, out=gap)
         np.multiply(gap, alpha, out=work)
@@ -230,9 +281,10 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
         trace.append(IterationRecord(k, residual, objective, alpha, d))
         if iter_callback is not None:
             if sparse is None:
-                split, on_omega = product.copy(), z
+                split, on_omega = product, z
             else:   # off Omega D = 0 and Z = U V^T, so S = -U V^T there
-                split, on_omega = sparse(0.0, product), sparse(data, z)
+                split = np.subtract(0.0, product, out=product)
+                on_omega = sparse(data, z)
             split.reshape(-1)[mask.flat_indices] = on_omega
             iter_callback(k, u, v, split, mask.adjoint(y))
         if residual < threshold or (

@@ -157,6 +157,17 @@ class TestSolveCommands:
                    "--config", str(config), "--out-dir", str(tmp_path / "est"))
         assert code == 0
 
+    @pytest.mark.parametrize("line", ["rnak = 4", "seed = 3"])
+    def test_config_unknown_key_is_rejected(self, tmp_path, capsys, line):
+        truth = synth(tmp_path, rows=20, cols=20, rank=2)
+        config = tmp_path / "solver.cfg"
+        config.write_text(f"max_iter = 50\n{line}\n")
+        code = run("rpca", "--data", str(truth / "d_obs.txt"),
+                   "--config", str(config), "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert repr(line.split()[0]) in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code = run("rpca", "--data", str(tmp_path / "nope.txt"),
                    "--out-dir", str(tmp_path / "est"))

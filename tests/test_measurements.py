@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lowrank.datasets import RatingDataset, generate_planted
 from lowrank.measurements import (
     ObservationMask,
     draw_random_subspace,
@@ -47,6 +48,24 @@ class TestObservationMask:
         with pytest.raises(ValueError):
             mask.marker[0, 0] = False
 
+    @pytest.mark.parametrize("build", [
+        lambda tmp: ObservationMask.from_indices(2, 3, [(0, 1), (1, 2)]),
+        lambda tmp: ObservationMask.full(2, 3),
+        lambda tmp: load_mask(_mask_file(tmp, "2 3\n0 1\n1 2\n")),
+        lambda tmp: generate_planted(4, 3, 1, spike_frac=0.1, obs_frac=0.5,
+                                     seed=1).mask,
+        lambda tmp: RatingDataset([(0, 1, 4.0), (1, 2, 3.0)], 2, 3,
+                                  np.array([0, 1]), np.array([], int)
+                                  ).train_matrix()[1],
+    ], ids=["from_indices", "full", "load_mask", "generate_planted",
+            "train_matrix"])
+    def test_package_built_marker_is_read_only(self, tmp_path, build):
+        # the mask keeps the marker its builder made; nothing can write it
+        marker = build(tmp_path).marker
+        with pytest.raises(ValueError):
+            marker[0, 0] = not marker[0, 0]
+        assert marker.base is None or not marker.base.flags.writeable
+
     def test_caller_array_is_copied(self):
         marker = np.array([[True, False], [False, True]])
         mask = ObservationMask(marker)
@@ -55,11 +74,15 @@ class TestObservationMask:
             mask.forward(np.arange(4.0).reshape(2, 2)), [0.0, 3.0])
 
 
+def _mask_file(tmp_path, text):
+    path = tmp_path / "mask.txt"
+    path.write_text(text)
+    return path
+
+
 class TestMaskFile:
     def write(self, tmp_path, text):
-        path = tmp_path / "mask.txt"
-        path.write_text(text)
-        return path
+        return _mask_file(tmp_path, text)
 
     @pytest.mark.parametrize("text", [
         "2 2\n0 0\n1\n",

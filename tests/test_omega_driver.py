@@ -7,8 +7,11 @@ to rounding. With d above the true rank the trailing QR columns of a
 rank-deficient P V turn rounding into a different path, so there the gate is
 on outcomes. The RMC and MC checks run on both sides of ``SPARSE_DENSITY``:
 above it the driver takes its two products with a dense m x n buffer, below
-it with a CSR array over Omega.
+it with a CSR array over Omega and evaluates U V^T on Omega by row blocks;
+one CSR instance spans several blocks.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from lowrank.measurements import ObservationMask
 from lowrank.metrics import auc, relative_error
 from lowrank.prox import soft_threshold, svt
 from lowrank.rmc import (
+    BLOCK_ENTRIES,
     RANK_ADJUST_START,
     SPARSE_DENSITY,
     _omega_matrix,
@@ -162,8 +166,16 @@ INSTANCES = (11, 12, 13)
 DENSE_OBS, CSR_OBS = 0.5, 0.15
 
 
-def small_instance(seed, rank=2, spike_frac=0.1, obs_frac=DENSE_OBS):
-    return generate_planted(60, 50, rank, spike_frac=spike_frac,
+# Rows per block of U V^T on the CSR path at 1000 columns, and a shape whose
+# rows span two full blocks and a partial one.
+BLOCK_ROWS = BLOCK_ENTRIES // 1000
+MULTI_BLOCK = (2 * BLOCK_ROWS + BLOCK_ROWS // 2, 1000)
+assert BLOCK_ROWS >= 2, "the last of the three blocks must be partial"
+
+
+def small_instance(seed, rank=2, spike_frac=0.1, obs_frac=DENSE_OBS,
+                   shape=(60, 50)):
+    return generate_planted(*shape, rank, spike_frac=spike_frac,
                             obs_frac=obs_frac, seed=seed)
 
 
@@ -174,10 +186,22 @@ def assert_path(mask, csr):
     assert (density < SPARSE_DENSITY) == csr, density
 
 
-def check_rmc_path(seed, u_scheme, obs_frac):
-    p = small_instance(seed, obs_frac=obs_frac)
+def assert_same_result(res, plain):
+    """A run without a callback, which evaluates U V^T on Omega alone on the
+    CSR path, ends where the run with one does."""
+    assert len(plain.trace) == len(res.trace)
+    for rec, ref in zip(plain.trace, res.trace):
+        assert rec.d == ref.d
+        assert rec.residual == pytest.approx(ref.residual, rel=1e-8, abs=1e-14)
+    for name in ("u", "v", "s", "y"):
+        assert _close(getattr(plain, name), getattr(res, name)), name
+
+
+def check_rmc_path(seed, u_scheme, obs_frac, shape=(60, 50)):
+    p = small_instance(seed, obs_frac=obs_frac, shape=shape)
     assert_path(p.mask, obs_frac == CSR_OBS)
-    cfg = SolverConfig(lam=0.7 * np.sqrt(60 * obs_frac), d=1, max_iter=300)
+    cfg = SolverConfig(lam=0.7 * np.sqrt(max(shape) * obs_frac), d=1,
+                       max_iter=300)
     res, s = assert_same_path(
         lambda cb: solve_rmc(p.d_obs, p.mask, cfg, u_scheme=u_scheme,
                              iter_callback=cb),
@@ -185,10 +209,11 @@ def check_rmc_path(seed, u_scheme, obs_frac):
                              iter_callback=cb),
     )
     assert _close(res.s, np.where(p.mask.marker, s, 0.0))
+    assert_same_result(res, solve_rmc(p.d_obs, p.mask, cfg, u_scheme=u_scheme))
 
 
-def check_mc_path(seed, obs_frac):
-    p = small_instance(seed, spike_frac=0.0, obs_frac=obs_frac)
+def check_mc_path(seed, obs_frac, shape=(60, 50)):
+    p = small_instance(seed, spike_frac=0.0, obs_frac=obs_frac, shape=shape)
     assert_path(p.mask, obs_frac == CSR_OBS)
     cfg = SolverConfig(lam=0.1, d=1, tol=1e-6, max_iter=400)
     res, _ = assert_same_path(
@@ -196,6 +221,7 @@ def check_mc_path(seed, obs_frac):
         lambda cb: dense_mc(p.d_obs, p.mask, cfg, iter_callback=cb),
     )
     assert np.all(res.s == 0)
+    assert_same_result(res, solve_mc(p.d_obs, p.mask, cfg))
 
 
 @pytest.mark.parametrize("seed", INSTANCES)
@@ -208,6 +234,14 @@ def test_rmc_matches_dense_loop_every_iteration(seed, u_scheme):
 @pytest.mark.parametrize("u_scheme", ["qr", "svd"])
 def test_rmc_csr_path_matches_dense_loop_every_iteration(seed, u_scheme):
     check_rmc_path(seed, u_scheme, CSR_OBS)
+
+
+def test_rmc_csr_path_over_row_blocks_matches_dense_loop():
+    check_rmc_path(INSTANCES[0], "qr", CSR_OBS, shape=MULTI_BLOCK)
+
+
+def test_mc_csr_path_over_row_blocks_matches_dense_loop():
+    check_mc_path(INSTANCES[0], CSR_OBS, shape=MULTI_BLOCK)
 
 
 @pytest.mark.parametrize("seed", INSTANCES)
@@ -264,6 +298,25 @@ def test_rmc_csr_path_recovers_above_true_rank():
         assert res.termination == "converged"
         assert relative_error(res.low_rank(), p.l0) <= 1e-3
         assert auc(np.abs(res.s[obs]), p.s0[obs] != 0) >= 0.99
+
+
+@pytest.mark.parametrize("solve", [solve_mc, solve_rmc])
+def test_csr_path_allocates_no_dense_product(solve):
+    # Without a callback the loop holds no m x n array: the peak is the
+    # dense S and Y of the result, 2 * 8mn bytes, plus O(|Omega|) vectors.
+    m, n = 2000, 1000
+    rng = np.random.default_rng(3)
+    d_obs = rng.standard_normal((m, 3)) @ rng.standard_normal((n, 3)).T
+    mask = ObservationMask(rng.random((m, n)) < 0.01)
+    assert_path(mask, True)
+    cfg = SolverConfig(lam=1.0, d=5, max_iter=5)
+    tracemalloc.start()
+    try:
+        solve(d_obs, mask, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * m * n, peak / (8 * m * n)
 
 
 def test_rank_adjustment_outcome_matches_dense_loop():
@@ -331,11 +384,14 @@ def _masks():
     single = np.zeros(shape, dtype=bool)
     single[36, 0] = True
     below = int(np.ceil(SPARSE_DENSITY * size)) - 1
+    blocks = rng.random(MULTI_BLOCK) < 0.1
+    blocks[BLOCK_ROWS:2 * BLOCK_ROWS] = False   # a block without Omega entries
     return {
         "empty rows and columns": gaps,
         "single entry": single,
         "just below the cut": _random_marker(rng, shape, below),
         "just above the cut": _random_marker(rng, shape, below + 1),
+        "three row blocks": blocks,
     }
 
 
@@ -350,8 +406,8 @@ def test_csr_products_match_dense_buffer(name):
         assert flat.size >= SPARSE_DENSITY * m * n
     rng = np.random.default_rng(flat.size)
     mask = ObservationMask(marker)
-    dense_values, dense_load = _omega_matrix(mask, csr=False)
-    csr_values, csr_load = _omega_matrix(mask, csr=True)
+    dense_values, dense_load, dense_low_rank = _omega_matrix(mask, csr=False)
+    csr_values, csr_load, csr_low_rank = _omega_matrix(mask, csr=True)
     for _ in range(3):   # the values are rewritten in place every iteration
         values = rng.standard_normal(flat.size)
         dense_values[:] = values
@@ -365,3 +421,15 @@ def test_csr_products_match_dense_buffer(name):
         for got, want in ((s @ v, e @ v), (s_t @ u, e_t @ u)):
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # L = U V^T on Omega, alone and with the whole product
+        full = u @ v.T
+        want = full.reshape(-1)[flat]
+        for low_rank in (dense_low_rank, csr_low_rank):
+            for product in (None, np.full((m, n), np.nan)):
+                got = np.full(flat.size, np.nan)
+                low_rank(u, v, got, product)
+                assert np.linalg.norm(got - want) <= \
+                    1e-12 * np.linalg.norm(want)
+                if product is not None:
+                    assert np.linalg.norm(product - full) <= \
+                        1e-12 * np.linalg.norm(full)

@@ -45,8 +45,8 @@ def main(argv=None):
                         SolverConfig(lam=lam, d=args.d))
         elapsed = time.perf_counter() - start
         err = relative_error(res.low_rank(), prob.l0)
-        obs = prob.mask.marker
-        score = auc(np.abs(res.s[obs]), prob.s0[obs] != 0)
+        score = auc(np.abs(prob.mask.forward(res.s)),
+                    prob.mask.forward(prob.s0) != 0)
         print(f"{seed:>4} {res.iterations:>6} {err:>10.3e} "
               f"{score:>7.4f} {elapsed:>6.2f}s")
 

@@ -51,7 +51,7 @@ def main(argv=None):
     print(f"{ds.num_users} users x {ds.num_items} items, "
           f"{len(ds.train)} train / {len(ds.test)} test ratings")
 
-    global_mean = train[mask.marker].mean()
+    global_mean = mask.forward(train).mean()
     baseline = rmse(np.full_like(train, global_mean), ds.test)
     print(f"global-mean baseline RMSE: {baseline:.4f}")
 

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -188,7 +189,12 @@ def cmd_solve(args):
     default_iters = 1000 if args.command == "cpcp" else 500
     try:
         cfg = _build_solver_config(args, default_iters)
-        cfg.validate()
+        # The solver validates cfg again and warns then, so warn only once.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg.validate()
+        if args.command == "cpcp" and cfg.adjust_rank:
+            raise ValueError("adjust_rank is not supported by cpcp")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

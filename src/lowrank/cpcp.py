@@ -36,6 +36,8 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     length-p measurement-space multiplier y, as in ``SolveResult.y``.
     """
     cfg.validate()
+    if cfg.adjust_rank:
+        raise ValueError("adjust_rank is not supported by solve_cpcp")
     y_meas = np.asarray(y_meas, dtype=np.float64)
     if y_meas.ndim != 1 or y_meas.shape[0] != q.dim:
         raise ValueError(

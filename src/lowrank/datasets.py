@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +17,7 @@ class PlantedProblem:
     s0: np.ndarray
     mask: ObservationMask
     d_obs: np.ndarray
-    seed: int
     rank: int
-
-    @property
-    def spike_support(self):
-        return self.s0 != 0
 
 
 def generate_planted(m, n, r, spike_frac, magnitude=1.0, obs_frac=1.0, seed=0):
@@ -53,9 +48,9 @@ def generate_planted(m, n, r, spike_frac, magnitude=1.0, obs_frac=1.0, seed=0):
     marker = rng.random((m, n)) < obs_frac
     if not marker.any():
         marker[0, 0] = True  # keep the instance solvable
-    mask = ObservationMask._adopt(marker)
+    mask = ObservationMask(marker)
     d_obs = mask_project(l0 + s0, mask)
-    return PlantedProblem(l0=l0, s0=s0, mask=mask, d_obs=d_obs, seed=seed, rank=r)
+    return PlantedProblem(l0=l0, s0=s0, mask=mask, d_obs=d_obs, rank=r)
 
 
 @dataclass
@@ -68,7 +63,6 @@ class RatingDataset:
     train_idx: np.ndarray
     test_idx: np.ndarray
     duplicate_count: int = 0
-    seed: int = 0
 
     @property
     def train(self):
@@ -153,7 +147,6 @@ def load_ratings(path, seed=0):
         train_idx=train_idx,
         test_idx=test_idx,
         duplicate_count=duplicates,
-        seed=seed,
     )
 
 
@@ -186,4 +179,7 @@ def load_matrix(path):
                 out[i] = [float(x) for x in parts]
             except ValueError as exc:
                 raise ValueError(f"{path}:{i + 2}: {exc}") from exc
+        for lineno, line in enumerate(fh, start=rows + 2):
+            if line.strip():
+                raise ValueError(f"{path}:{lineno}: more than {rows} rows")
     return out

@@ -12,8 +12,7 @@ in row-major order: ``forward`` gathers them, ``adjoint`` scatters them into
 zeros.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,32 +33,27 @@ def _check_length(y, dim):
     return y
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ObservationMask:
-    """Index set of observed entries, stored as a read-only boolean marker
-    matrix: a copy of the caller's, or the one that ``from_indices``,
-    ``full`` or ``generate_planted`` made for the mask alone. Masks compare
-    and hash by identity."""
+    """Observed entries as row-major flat indices ``i * cols + j``: ascending,
+    unique, read-only int64. Masks compare and hash by identity."""
 
-    marker: np.ndarray  # bool, shape (rows, cols)
+    shape: tuple[int, int]
+    flat_indices: np.ndarray
 
-    def __post_init__(self):
-        self._own(np.array(self.marker, dtype=bool))
-
-    def _own(self, marker):
+    def __init__(self, marker):
+        """The mask of the True entries of the boolean m x n ``marker``."""
+        marker = np.asarray(marker, dtype=bool)
         if marker.ndim != 2:
             raise ValueError("mask marker must be 2-D")
-        # flat_indices is computed once from the marker, so it must not change
-        marker.flags.writeable = False
-        object.__setattr__(self, "marker", marker)
+        self._hold(*marker.shape, np.flatnonzero(marker).copy())
 
-    @classmethod
-    def _adopt(cls, marker):
-        """A mask that keeps ``marker``, a boolean array nothing else refers
-        to, without copying it."""
-        mask = object.__new__(cls)
-        mask._own(marker)
-        return mask
+    def _hold(self, rows, cols, flat):
+        # flat is ascending, unique, int64, and nothing else refers to it
+        flat.flags.writeable = False
+        object.__setattr__(self, "shape", (int(rows), int(cols)))
+        object.__setattr__(self, "flat_indices", flat)
+        return self
 
     @classmethod
     def from_indices(cls, rows, cols, pairs):
@@ -72,28 +66,27 @@ class ObservationMask:
                 f"mask index ({bad_i}, {bad_j}) out of range {rows}x{cols}"
             )
         flat = i * cols + j
-        marker = np.zeros((rows, cols), dtype=bool)
-        marker.reshape(-1)[flat] = True
-        if np.count_nonzero(marker) != flat.size:
+        # Mask files and sorted ratings tables give row-major pairs: no sort.
+        ordered = flat if np.all(flat[1:] > flat[:-1]) else np.sort(flat)
+        if np.any(ordered[1:] == ordered[:-1]):
             _, first = np.unique(flat, return_index=True)
-            repeat = np.ones(flat.size, dtype=bool)
+            repeat = np.ones(len(pairs), dtype=bool)
             repeat[first] = False
             dup_i, dup_j = pairs[np.argmax(repeat)]
             raise ValueError(f"duplicate mask index ({dup_i}, {dup_j})")
-        return cls._adopt(marker)
+        return cls.__new__(cls)._hold(rows, cols, ordered)
 
     @classmethod
     def full(cls, rows, cols):
-        return cls._adopt(np.ones((rows, cols), dtype=bool))
+        flat = np.arange(rows * cols, dtype=np.int64)
+        return cls.__new__(cls)._hold(rows, cols, flat)
 
     @property
-    def shape(self):
-        return self.marker.shape
-
-    @cached_property
-    def flat_indices(self):
-        """Row-major flat indices of the observed entries, ascending."""
-        return np.flatnonzero(self.marker)
+    def marker(self):
+        """A fresh m x n boolean matrix, True on the observed entries."""
+        marker = np.zeros(self.shape, dtype=bool)
+        marker.reshape(-1)[self.flat_indices] = True
+        return marker
 
     @property
     def dim(self):
@@ -176,7 +169,6 @@ class SubspaceOperator:
 
     shape: tuple[int, int]
     basis: np.ndarray  # p x (m*n), orthonormal rows
-    seed: int | None = field(default=None)
 
     @property
     def dim(self):
@@ -198,4 +190,4 @@ def draw_random_subspace(m, n, p, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m * n, p))
     basis = qr_thin(g).q.T
-    return SubspaceOperator((m, n), basis, seed=seed)
+    return SubspaceOperator((m, n), basis)

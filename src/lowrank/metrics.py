@@ -21,10 +21,13 @@ def rmse(predicted, test_triplets):
     predicted = np.asarray(predicted, dtype=np.float64)
     if len(test_triplets) == 0:
         raise ValueError("empty test set")
-    sq = 0.0
-    for u, i, value in test_triplets:
-        sq += (value - predicted[u, i]) ** 2
-    return float(np.sqrt(sq / len(test_triplets)))
+    users, items, values = (np.asarray(column) for column in zip(*test_triplets))
+    rows, cols = predicted.shape
+    outside = (users < 0) | (users >= rows) | (items < 0) | (items >= cols)
+    if outside.any():
+        raise ValueError(f"test triplet {test_triplets[np.argmax(outside)]} "
+                         f"outside the {rows}x{cols} prediction")
+    return float(np.sqrt(np.mean((values - predicted[users, items]) ** 2)))
 
 
 def auc(scores, labels):

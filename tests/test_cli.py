@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from lowrank import cli
 from lowrank.cli import main
-from lowrank.datasets import load_matrix
+from lowrank.datasets import load_matrix, save_matrix
 
 
 def run(*argv):
@@ -130,6 +133,38 @@ class TestSolveCommands:
         assert code in (0, 3)
         assert (tmp_path / "est" / "U.txt").exists()
 
+    def test_rho_warning_printed_once(self, tmp_path, capsys):
+        truth = synth(tmp_path, rows=20, cols=20, rank=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("rpca", "--data", str(truth / "d_obs.txt"),
+                       "--rank", "4", "--rho", "1.5",
+                       "--out-dir", str(tmp_path / "est"))
+        assert code in (0, 3)
+        assert len([w for w in caught if "rho" in str(w.message)]) == 1
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_cpcp_adjust_rank_rejected_before_draw(self, tmp_path, capsys,
+                                                   monkeypatch, how):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("subspace drawn")
+
+        monkeypatch.setattr(cli, "draw_random_subspace", no_draw)
+        meas = tmp_path / "y.txt"
+        save_matrix(meas, np.ones((10, 1)))
+        extra = ["--adjust-rank"]
+        if how == "config":
+            config = tmp_path / "solver.cfg"
+            config.write_text("adjust_rank = true\n")
+            extra = ["--config", str(config)]
+        code = run("cpcp", "--measurements", str(meas), "--rows", "5",
+                   "--cols", "5", "--subspace-seed", "1", "--subspace-dim",
+                   "10", "--rank", "2", *extra,
+                   "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert "adjust_rank" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         truth = synth(tmp_path, rows=20, cols=20, rank=2)
         config = tmp_path / "solver.cfg"
@@ -220,3 +255,20 @@ class TestEval:
         # errors are 1 and 0, so the value is sqrt(1/2)
         assert float(line.split("=")[-1]) == pytest.approx(np.sqrt(0.5),
                                                            abs=1e-6)
+
+    @pytest.mark.parametrize("bad", ["-1 0 2.0", "9 0 2.0"])
+    def test_rmse_index_outside_estimate(self, tmp_path, capsys, bad):
+        est = tmp_path / "est"
+        est.mkdir()
+        save_matrix(est / "L.txt", np.ones((6, 5)))
+        test_file = tmp_path / "test.txt"
+        test_file.write_text(f"0 0 2.0\n{bad}\n")
+        code = run("eval", "--estimate-dir", str(est),
+                   "--truth-dir", str(est), "--metric", "rmse",
+                   "--test-file", str(test_file))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        u, i, value = bad.split()
+        assert captured.err.startswith("error: ")
+        assert f"({u}, {i}, {value})" in captured.err

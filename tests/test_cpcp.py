@@ -45,6 +45,11 @@ class TestSolveCpcp:
         assert relative_error(ref.low_rank(), prob.l0) <= 1e-3
         assert res.y.shape == (prob.mask.dim,)
 
+    def test_adjust_rank_rejected(self):
+        q = draw_random_subspace(5, 5, 10, seed=2)
+        with pytest.raises(ValueError, match="adjust_rank"):
+            solve_cpcp(np.zeros(10), q, SolverConfig(d=2, adjust_rank=True))
+
     def test_measurement_length_mismatch(self):
         q = draw_random_subspace(5, 5, 10, seed=2)
         with pytest.raises(ValueError, match="does not match"):

@@ -39,13 +39,13 @@ class TestGeneratePlanted:
 
     def test_spike_count_within_binomial_bounds(self):
         p = generate_planted(100, 100, 2, spike_frac=0.1, seed=3)
-        count = int(p.spike_support.sum())
+        count = int((p.s0 != 0).sum())
         # 10 standard deviations around the mean of Binomial(10^4, 0.1)
         assert abs(count - 1000) <= 10 * np.sqrt(1e4 * 0.1 * 0.9)
 
     def test_spike_magnitudes(self):
         p = generate_planted(40, 40, 2, spike_frac=0.2, magnitude=3.5, seed=4)
-        vals = p.s0[p.spike_support]
+        vals = p.s0[p.s0 != 0]
         assert set(np.unique(vals)) <= {-3.5, 3.5}
 
     def test_observed_data_masked(self):
@@ -56,7 +56,7 @@ class TestGeneratePlanted:
 
     def test_no_spikes_when_fraction_zero(self):
         p = generate_planted(10, 10, 1, spike_frac=0.0, seed=7)
-        assert not p.spike_support.any()
+        assert not (p.s0 != 0).any()
 
     def test_invalid_rank_rejected(self):
         with pytest.raises(ValueError, match="rank"):
@@ -217,6 +217,18 @@ class TestMatrixIo:
         path.write_text("2 3\n1 2 3\n4 5\n")
         with pytest.raises(ValueError, match=":3:"):
             load_matrix(path)
+
+    def test_surplus_row_reports_location(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("2 3\n1 2 3\n4 5 6\n\n7 8 9\n")
+        with pytest.raises(ValueError, match="more than 2 rows") as info:
+            load_matrix(path)
+        assert f"{path}:5:" in str(info.value)
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1 2\n1 2\n\n  \n")
+        np.testing.assert_array_equal(load_matrix(path), [[1.0, 2.0]])
 
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="2-D"):

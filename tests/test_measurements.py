@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,13 +45,22 @@ class TestObservationMask:
         assert hash(a) == hash(a)
         assert len({a, b}) == 2
 
-    def test_marker_is_read_only(self):
-        mask = ObservationMask.full(2, 3)
-        with pytest.raises(ValueError):
-            mask.marker[0, 0] = False
+    def test_written_marker_leaves_mask_unchanged(self):
+        mask = ObservationMask.from_indices(2, 3, [(0, 1), (1, 2)])
+        marker = mask.marker
+        marker[:] = True
+        np.testing.assert_array_equal(mask.flat_indices, [1, 5])
+        np.testing.assert_array_equal(
+            mask.forward(np.arange(6.0).reshape(2, 3)), [1.0, 5.0])
+        assert mask.marker is not marker
+        assert np.count_nonzero(mask.marker) == 2
 
     @pytest.mark.parametrize("build", [
+        lambda tmp: ObservationMask([[False, True, False],
+                                     [False, False, True]]),
         lambda tmp: ObservationMask.from_indices(2, 3, [(0, 1), (1, 2)]),
+        lambda tmp: ObservationMask.from_indices(2, 3, [(1, 2), (0, 0),
+                                                        (0, 1)]),
         lambda tmp: ObservationMask.full(2, 3),
         lambda tmp: load_mask(_mask_file(tmp, "2 3\n0 1\n1 2\n")),
         lambda tmp: generate_planted(4, 3, 1, spike_frac=0.1, obs_frac=0.5,
@@ -57,14 +68,36 @@ class TestObservationMask:
         lambda tmp: RatingDataset([(0, 1, 4.0), (1, 2, 3.0)], 2, 3,
                                   np.array([0, 1]), np.array([], int)
                                   ).train_matrix()[1],
-    ], ids=["from_indices", "full", "load_mask", "generate_planted",
-            "train_matrix"])
-    def test_package_built_marker_is_read_only(self, tmp_path, build):
-        # the mask keeps the marker its builder made; nothing can write it
-        marker = build(tmp_path).marker
+    ], ids=["constructor", "from_indices", "from_indices_unsorted", "full",
+            "load_mask", "generate_planted", "train_matrix"])
+    def test_flat_indices_are_read_only(self, tmp_path, build):
+        mask = build(tmp_path)
+        flat = mask.flat_indices
+        assert flat.dtype == np.int64
+        assert flat.size > 0 and np.all(np.diff(flat) > 0)
+        assert all(type(size) is int for size in mask.shape)
         with pytest.raises(ValueError):
-            marker[0, 0] = not marker[0, 0]
-        assert marker.base is None or not marker.base.flags.writeable
+            flat[0] = flat[-1]
+        assert flat.base is None or not flat.base.flags.writeable
+
+    def test_from_indices_allocates_no_marker(self):
+        rows = cols = 2000
+        flat = np.sort(np.random.default_rng(0).choice(
+            rows * cols, size=40_000, replace=False))
+        pairs = np.column_stack(np.divmod(flat, cols))
+        tracemalloc.start()
+        try:
+            mask = ObservationMask.from_indices(rows, cols, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(mask.flat_indices, flat)
+        # an m x n boolean marker alone would take rows * cols bytes
+        assert peak < rows * cols / 4
+
+    def test_unsorted_pairs_are_sorted(self):
+        mask = ObservationMask.from_indices(2, 3, [(1, 2), (0, 0), (1, 0)])
+        np.testing.assert_array_equal(mask.flat_indices, [0, 3, 5])
 
     def test_caller_array_is_copied(self):
         marker = np.array([[True, False], [False, True]])

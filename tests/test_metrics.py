@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,12 @@ class TestRmse:
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             rmse(np.zeros((2, 2)), [])
+
+    @pytest.mark.parametrize("bad", [(-1, 0, 2.0), (2, 0, 2.0), (0, -1, 2.0),
+                                     (0, 3, 2.0)])
+    def test_index_outside_prediction_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            rmse(np.zeros((2, 3)), [(0, 0, 1.0), bad, (1, 2, 1.0)])
 
 
 class TestAuc:

@@ -200,6 +200,16 @@ def cmd_solve(args):
         return 2
 
     if args.command == "cpcp":
+        shape = (args.rows, args.cols)
+    else:
+        data = load_matrix(args.data)
+        shape = data.shape
+    if cfg.d > min(shape):
+        print(f"error: rank bound d={cfg.d} exceeds min(m, n)={min(shape)}",
+              file=sys.stderr)
+        return 2
+
+    if args.command == "cpcp":
         y_meas = load_matrix(args.measurements).ravel()
         q = draw_random_subspace(
             args.rows, args.cols, args.subspace_dim, args.subspace_seed
@@ -207,7 +217,6 @@ def cmd_solve(args):
         result = solve_cpcp(y_meas, q, cfg)
         _write_result(args.out_dir, result, include_ratio=True)
     else:
-        data = load_matrix(args.data)
         if args.command == "rpca":
             result = solve_rpca(data, cfg)
         else:

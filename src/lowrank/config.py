@@ -2,10 +2,25 @@
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _outside_stacklevel():
+    """The ``stacklevel`` with which a warning raised in the caller of this
+    function names the first frame outside the package: the line that called
+    into it, however many package frames (solver, driver) lie between."""
+    package = __name__.rpartition(".")[0] + "."
+    level = 2
+    frame = sys._getframe(level)
+    while frame is not None and \
+            frame.f_globals.get("__name__", "").startswith(package):
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 @dataclass
@@ -40,7 +55,7 @@ class SolverConfig:
             warnings.warn(
                 f"rho={self.rho} outside (1.0, 1.1]; the penalty schedule is "
                 "usually run with a growth factor in that range",
-                stacklevel=2,
+                stacklevel=_outside_stacklevel(),
             )
 
     def resolve_lambda(self, m, n):

@@ -17,11 +17,11 @@ measurement space.
 import numpy as np
 
 from .config import IterationRecord, SolveResult
-# perfbench/tracing.py patches spectral_norm in this module, so it stays
-# importable from it; the solver does not call it.
+# perfbench/tracing.py patches spectral_norm and nuclear_norm in this module,
+# so they stay importable from it; the solver calls neither.
 from .linalg import spectral_norm  # noqa: F401
 from .prox import soft_threshold, svt
-from .rmc import nuclear_norm, orthonormal_factor
+from .rmc import nuclear_norm, orthonormal_factor  # noqa: F401
 
 # Denominators below this are treated as zero in the stopping ratio.
 _RATIO_FLOOR = 1e-30
@@ -77,7 +77,7 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         u = orthonormal_factor(b @ v, u, "qr")
         # SVT of the d x n step target, applied in its n x d orientation
         # (unitarily equivalent) so the small side carries the thresholding.
-        v = svt((u.T @ b).T, lam / alpha)
+        v, shrunk = svt((u.T @ b).T, lam / alpha)
         t = u @ v.T
         grad_s = data_fit_gradient(s, t, y_meas, dual, alpha, q)
         s = soft_threshold(s - step * grad_s, 1.0 / alpha)
@@ -85,7 +85,7 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         dual = dual + alpha * (y_meas - fit)
 
         residual = float(np.linalg.norm(y_meas - fit))
-        objective = float(np.abs(s).sum()) + lam * nuclear_norm(v)
+        objective = float(np.abs(s).sum()) + lam * float(shrunk.sum())
         denom = float(np.linalg.norm(t_prev) ** 2 + np.linalg.norm(s_prev) ** 2)
         numer = float(
             np.linalg.norm(t - t_prev) ** 2 + np.linalg.norm(s - s_prev) ** 2

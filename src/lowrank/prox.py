@@ -8,18 +8,22 @@ from .linalg import check_matrix, svd_thin
 def svt(m, mu):
     """Singular value thresholding: shrink singular values by ``mu``.
 
-    Returns U diag(max(sigma - mu, 0)) V^T from the thin SVD of ``m``; the
-    proximal operator of mu * (nuclear norm). Singular values exactly equal
-    to mu map to zero.
+    Returns ``(x, shrunk)``: X = U diag(max(sigma - mu, 0)) V^T from the thin
+    SVD of ``m``, the proximal operator of mu * (nuclear norm), and the
+    nonzero shrunk values sigma - mu, nonincreasing. These are the singular
+    values of X, so ``shrunk.sum()`` is its nuclear norm without a second
+    SVD. Singular values exactly equal to mu map to zero; when none exceeds
+    mu, X is zero and ``shrunk`` is empty.
     """
     if mu < 0:
         raise ValueError(f"svt threshold must be nonnegative, got {mu}")
     m = check_matrix(m, "svt input")
     f = svd_thin(m)
     keep = f.sigma > mu
-    if not np.any(keep):
-        return np.zeros_like(m)
-    return (f.u[:, keep] * (f.sigma[keep] - mu)) @ f.v[:, keep].T
+    shrunk = f.sigma[keep] - mu
+    if not shrunk.size:
+        return np.zeros_like(m), shrunk
+    return (f.u[:, keep] * shrunk) @ f.v[:, keep].T, shrunk
 
 
 def soft_threshold(a, tau):

@@ -2,11 +2,21 @@
 
 One driver runs both completion solvers. Each iteration updates the
 orthonormal factor by a thin QR of the current target times the right factor,
-thresholds the singular values of the small factor-side matrix, updates the
-solver's split variable on the observed entries Omega in closed form, then
-takes a dual ascent step with a geometric penalty schedule. A once-only
-rank-shrinking heuristic watches the eigenvalue quotients of V^T V for a
-dominant spectral jump.
+thresholds the singular values of the small factor-side matrix, then takes
+one closed-form step on the observed entries Omega: the solver's split
+variable, the dual ascent step and the data term of the objective together.
+The penalty follows a geometric schedule. A once-only rank-shrinking
+heuristic watches the eigenvalue quotients of V^T V for a dominant spectral
+jump.
+
+For robust completion, with W = D - L + Y / alpha on Omega, the step is that
+of scaled-form ADMM (Boyd et al., "Distributed Optimization and Statistical
+Learning via the Alternating Direction Method of Multipliers", 2011,
+section 3.1.1) in closed form: with C = clip(W, -1/alpha, 1/alpha), the
+sparse part is S = W - C (W soft-thresholded by 1/alpha) and the new
+multiplier is Y = alpha C, so |Y| <= 1 on Omega and Y = sign(S) wherever
+S is nonzero. The nuclear norm in the objective is the sum of the singular
+values that ``svt`` returns; no second SVD is taken.
 
 Off Omega the multiplier stays zero and the target P equals the previous
 product U V^T, so P differs from that product only on Omega. The two products
@@ -21,8 +31,9 @@ entries are taken. No m x n array is allocated in the loop. Above the cut,
 E is a dense m x n buffer and an iteration costs three m x n GEMMs of width
 d (E V, E^T U and U V^T into a second buffer, read on Omega). Either way
 the rest is O(|Omega|) elementwise work on vectors held in buffers
-allocated once; the dense product, sparse part and multiplier are formed
-only for ``iter_callback`` and for the result.
+allocated once, and no vector of length |Omega| is allocated in the loop;
+the dense product, sparse part and multiplier are formed only for
+``iter_callback`` and for the result.
 """
 
 import math
@@ -30,12 +41,13 @@ import math
 import numpy as np
 from scipy.sparse import csr_array
 
-# perfbench/tracing.py patches these names in this module, mask_project
-# included, so they stay importable from it.
+# perfbench/tracing.py patches these names in this module, mask_project,
+# soft_threshold and nuclear_norm included, so they stay importable from it;
+# the solvers do not call those three.
 from .config import IterationRecord, SolveResult
 from .linalg import check_matrix, qr_thin, svd_thin
 from .measurements import ObservationMask, mask_project  # noqa: F401
-from .prox import soft_threshold, svt
+from .prox import soft_threshold, svt  # noqa: F401
 
 # Threshold below which the factor-update input is considered all-zero and
 # the orthonormal factor is carried over unchanged (both update schemes must
@@ -181,6 +193,8 @@ def _omega_matrix(mask, csr):
     e = np.zeros((m, n))
     values = np.zeros(flat.size)
     buffer = np.empty((m, n))
+    # np.take copies read-only indices, such as the mask's, on every call
+    indices = flat.copy()
 
     def load():
         e.reshape(-1)[flat] = values
@@ -189,7 +203,7 @@ def _omega_matrix(mask, csr):
     def low_rank(u, v, out, product=None):
         product = buffer if product is None else product
         np.matmul(u, v.T, out=product)
-        np.take(product.reshape(-1), flat, out=out, mode="clip")
+        np.take(product.reshape(-1), indices, out=out, mode="clip")
 
     return values, load, low_rank
 
@@ -208,26 +222,31 @@ def _product_change(u, v, u_prev, v_prev):
     return math.sqrt(inside + max(outside, 0.0))
 
 
-def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
-          u_scheme="qr", iter_callback=None):
+def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
+          iter_callback=None):
     """The ADMM loop shared by ``solve_rmc`` and ``solve_mc``.
 
     Both split L = U V^T from a target Z held on Omega only: Z = D - S for
     robust completion, the auxiliary matrix for plain completion. Off Omega
     Z equals the product and the multiplier Y is zero, so the residual Z - L
-    and the dual step live on Omega too. What differs is passed in:
+    and the dual step live on Omega too. The Z-update and dual step of each
+    solver have one closed form, passed in as
 
-    - ``update(data, low, y, scaled, alpha, out)``: write the new Z on Omega
-      into ``out``, given L on Omega, Y and ``scaled`` = Y / alpha;
-    - ``data_term(data, z, low, work)``: the data part of the objective,
-      with ``work`` as scratch space;
-    - ``sparse(data, z)``: the sparse part S = D - Z, or None when the solver
-      has none; the callback then receives the auxiliary matrix Z instead;
+    - ``step(data, low, y, scaled, alpha, gap, work)``: given L on Omega in
+      ``low``, Y in ``y`` and ``scaled`` = Y / alpha, overwrite ``y`` with
+      the new Y and ``gap`` with the new Z - L on Omega, and return the data
+      part of the objective. The step may overwrite ``scaled`` and uses
+      ``work`` as scratch space, but when ``robust`` it leaves S on Omega in
+      ``work``: it is what the callback and the result report. Otherwise the
+      callback receives the auxiliary matrix Z = L + (Z - L) in place of S,
+      and S is zero;
     - ``stop(u, v, u_prev, v_prev)``: a stopping test besides the residual.
 
-    The Omega vectors live in buffers allocated once, so without
-    ``iter_callback`` an iteration allocates none of length |Omega| outside
-    ``soft_threshold``.
+    The next iteration's E = P - L on Omega is (Z - L) + Y / alpha, formed
+    from ``gap``. The Omega vectors live in buffers allocated once, so without
+    ``iter_callback`` an iteration allocates none of length |Omega|, and its
+    one SVD is the one inside ``svt``, whose shrunk singular values give the
+    nuclear norm of V.
     """
     cfg.validate()
     data = mask.forward(d_obs)
@@ -252,39 +271,34 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
     # E = P - U_prev V_prev^T is zero off Omega; ``values`` holds it on Omega
     values, load, low_rank = _omega_matrix(mask,
                                            mask.dim < SPARSE_DENSITY * m * n)
-    z = data.copy()
     y = np.zeros_like(data)
     low = np.zeros_like(data)      # U_prev V_prev^T on Omega
+    gap = data.copy()              # Z - U_prev V_prev^T on Omega; Z starts at D
     scaled = np.empty_like(data)   # Y / alpha
-    gap = np.empty_like(data)      # Z - U V^T on Omega
-    work = np.empty_like(data)
+    work = np.zeros_like(data)     # S on Omega after a robust step
     adjusted = False
     trace = []
     termination = "max_iter_reached"
 
     for k in range(1, cfg.max_iter + 1):
         np.divide(y, alpha, out=scaled)
-        np.add(z, scaled, out=values)
-        values -= low
+        np.add(gap, scaled, out=values)
         e, e_t = load()
         u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u, u_scheme)
-        v = svt(v_prev @ (u_prev.T @ u) + e_t @ u, lam / alpha)
+        v, shrunk = svt(v_prev @ (u_prev.T @ u) + e_t @ u, lam / alpha)
         # the dense U V^T, formed only for the callback, which keeps it
         product = None if iter_callback is None else np.empty((m, n))
         low_rank(u, v, low, product)
-        update(data, low, y, scaled, alpha, z)
-        np.subtract(z, low, out=gap)
-        np.multiply(gap, alpha, out=work)
-        y += work
+        data_term = step(data, low, y, scaled, alpha, gap, work)
         residual = float(np.linalg.norm(gap))
-        objective = data_term(data, z, low, work) + lam * nuclear_norm(v)
+        objective = data_term + lam * float(shrunk.sum())
         trace.append(IterationRecord(k, residual, objective, alpha, d))
         if iter_callback is not None:
-            if sparse is None:
-                split, on_omega = product, z
-            else:   # off Omega D = 0 and Z = U V^T, so S = -U V^T there
+            if robust:   # off Omega D = 0 and Z = U V^T, so S = -U V^T there
                 split = np.subtract(0.0, product, out=product)
-                on_omega = sparse(data, z)
+                on_omega = work
+            else:
+                split, on_omega = product, low + gap
             split.reshape(-1)[mask.flat_indices] = on_omega
             iter_callback(k, u, v, split, mask.adjoint(y))
         if residual < threshold or (
@@ -302,7 +316,7 @@ def _admm(d_obs, mask, cfg, update, data_term, sparse=None, stop=None,
                 d = new_d
                 adjusted = True
 
-    s = np.zeros((m, n)) if sparse is None else mask.adjoint(sparse(data, z))
+    s = mask.adjoint(work) if robust else np.zeros((m, n))
     return SolveResult(u=u, v=v, s=s, y=mask.adjoint(y),
                        trace=trace, termination=termination)
 
@@ -317,18 +331,21 @@ def solve_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
     m x n matrices: off the mask S is the exact fill-in -U V^T and Y is zero.
     The returned S is zero off the mask.
     """
-    def update(data, low, y, scaled, alpha, out):
-        np.subtract(data, low, out=out)
-        out += scaled
-        np.subtract(data, soft_threshold(out, 1.0 / alpha), out=out)
+    def step(data, low, y, scaled, alpha, gap, work):
+        # W = D - L + Y/alpha and C = clip(W, +-1/alpha): S = W - C is the
+        # soft-thresholded W, Z - L = D - S - L = C - Y/alpha and the new
+        # multiplier Y + alpha (Z - L) = alpha C, so |Y| <= 1.
+        tau = 1.0 / alpha
+        np.subtract(data, low, out=work)
+        work += scaled
+        np.clip(work, -tau, tau, out=gap)
+        work -= gap
+        np.multiply(gap, alpha, out=y)
+        gap -= scaled
+        return float(np.abs(work, out=scaled).sum())   # ||S||_1
 
-    def l1_norm(data, z, low, work):
-        np.subtract(data, z, out=work)
-        return float(np.abs(work, out=work).sum())
-
-    return _admm(d_obs, mask, cfg, update, l1_norm,
-                 sparse=lambda data, z: data - z,
-                 u_scheme=u_scheme, iter_callback=iter_callback)
+    return _admm(d_obs, mask, cfg, step, robust=True, u_scheme=u_scheme,
+                 iter_callback=iter_callback)
 
 
 def solve_rpca(d_obs, cfg, u_scheme="qr", iter_callback=None):
@@ -349,19 +366,20 @@ def solve_mc(d_obs, mask, cfg, iter_callback=None):
     feasibility of the auxiliary constraint. ``iter_callback(k, u, v, aux,
     y)`` receives the auxiliary matrix in place of a sparse part.
     """
-    def update(data, low, y, scaled, alpha, out):
-        np.multiply(low, alpha, out=out)
-        out += data
-        out -= y
-        out /= 1.0 + alpha
-
-    def squared_error(data, z, low, work):
+    def step(data, low, y, scaled, alpha, gap, work):
+        # On Omega Z = (D + alpha L - Y) / (1 + alpha), so
+        # Z - L = (D - L - Y) / (1 + alpha).
         np.subtract(data, low, out=work)
-        return 0.5 * float(np.square(work, out=work).sum())
+        fit = 0.5 * float(np.dot(work, work))   # ||D - L||^2 / 2 on Omega
+        work -= y
+        np.divide(work, 1.0 + alpha, out=gap)
+        np.multiply(gap, alpha, out=work)
+        y += work
+        return fit
 
     def small_change(u, v, u_prev, v_prev):
         base = float(np.linalg.norm(v_prev))   # ||U_prev V_prev^T||_F
         return base > 0 and _product_change(u, v, u_prev, v_prev) < cfg.tol * base
 
-    return _admm(d_obs, mask, cfg, update, squared_error, stop=small_change,
+    return _admm(d_obs, mask, cfg, step, robust=False, stop=small_change,
                  iter_callback=iter_callback)

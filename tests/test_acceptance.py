@@ -107,7 +107,8 @@ def test_criterion_03_svt_against_independent_minimizer():
     for trial in range(50):
         m = rng.standard_normal((8, 5))
         for mu in (0.1, 0.7, 2.0):
-            f_closed = objective(svt(m, mu), m, mu)
+            out, _ = svt(m, mu)
+            f_closed = objective(out, m, mu)
             f_iter = objective(prox_gradient(m, mu), m, mu)
             assert f_closed <= f_iter + 1e-6
     report(3, "singular value thresholding closed form vs iterative oracle")

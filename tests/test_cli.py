@@ -165,6 +165,29 @@ class TestSolveCommands:
         assert "adjust_rank" in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
+    @pytest.mark.parametrize("command", ["rmc", "mc", "rpca", "cpcp"])
+    def test_rank_above_shape_is_invalid_configuration(self, tmp_path, capsys,
+                                                       monkeypatch, command):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("subspace drawn")
+
+        monkeypatch.setattr(cli, "draw_random_subspace", no_draw)
+        truth = synth(tmp_path, rows=20, cols=15, rank=2, obs=0.8)
+        if command == "cpcp":
+            meas = tmp_path / "y.txt"
+            save_matrix(meas, np.ones((10, 1)))
+            inputs = ["--measurements", str(meas), "--rows", "20", "--cols",
+                      "15", "--subspace-seed", "1", "--subspace-dim", "10"]
+        else:
+            inputs = ["--data", str(truth / "d_obs.txt")]
+            if command != "rpca":
+                inputs += ["--mask", str(truth / "mask.txt")]
+        code = run(command, *inputs, "--rank", "16",
+                   "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert "rank bound d=16 exceeds min(m, n)=15" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         truth = synth(tmp_path, rows=20, cols=20, rank=2)
         config = tmp_path / "solver.cfg"

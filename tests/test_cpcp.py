@@ -131,7 +131,7 @@ class TestForwardReuse:
             t = u @ v.T
             b = t - step * data_fit_gradient(t, s, y, dual, alpha, q)
             u = orthonormal_factor(b @ v, u, "qr")
-            v = svt((u.T @ b).T, LAM / alpha)
+            v, _ = svt((u.T @ b).T, LAM / alpha)
             u_k, v_k = snaps[k][:2]
             assert np.array_equal(u @ v.T, u_k @ v_k.T), k
 

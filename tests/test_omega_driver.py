@@ -70,7 +70,7 @@ def dense_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
     for k in range(1, cfg.max_iter + 1):
         p = data - s + y / alpha
         u = orthonormal_factor(p @ v, u, u_scheme)
-        v = svt(p.T @ u, lam / alpha)
+        v, _ = svt(p.T @ u, lam / alpha)
         low_rank = u @ v.T
         a = data - low_rank + y / alpha
         s = np.where(marker, soft_threshold(a, 1.0 / alpha), a)
@@ -103,7 +103,7 @@ def dense_mc(d_obs, mask, cfg, iter_callback=None):
         prev_low_rank = low_rank
         p = aux + y / alpha
         u = orthonormal_factor(p @ v, u, "qr")
-        v = svt(p.T @ u, lam / alpha)
+        v, _ = svt(p.T @ u, lam / alpha)
         low_rank = u @ v.T
         aux = np.where(marker, (data + alpha * low_rank - y) / (1.0 + alpha),
                        low_rank - y / alpha)

@@ -33,12 +33,13 @@ def prox_gradient_nuclear(m, mu, step=0.5, tol=1e-9, max_iter=20000):
 
 class TestSvt:
     def test_diagonal_example(self):
-        out = svt(np.diag([3.0, 1.0]), 2.0)
+        out, _ = svt(np.diag([3.0, 1.0]), 2.0)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_zero_threshold_is_identity(self):
         m = np.random.default_rng(0).standard_normal((6, 4))
-        assert np.linalg.norm(svt(m, 0.0) - m) <= 1e-8 * np.linalg.norm(m)
+        out, _ = svt(m, 0.0)
+        assert np.linalg.norm(out - m) <= 1e-8 * np.linalg.norm(m)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -46,14 +47,15 @@ class TestSvt:
 
     def test_exact_tie_maps_to_zero(self):
         # sigma == mu must vanish, not survive as a zero-direction artifact
-        out = svt(np.diag([2.0, 1.0]), 1.0)
+        out, _ = svt(np.diag([2.0, 1.0]), 1.0)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_matches_proximal_gradient_oracle(self):
         rng = np.random.default_rng(17)
         m = rng.standard_normal((8, 5))
         mu = 0.7
-        f_closed = nuclear_objective(svt(m, mu), m, mu)
+        out, _ = svt(m, mu)
+        f_closed = nuclear_objective(out, m, mu)
         f_oracle = nuclear_objective(prox_gradient_nuclear(m, mu), m, mu)
         assert f_closed <= f_oracle + 1e-6
 
@@ -62,19 +64,44 @@ class TestSvt:
         for mu in (0.5, 2.0, 10.0):
             m = rng.standard_normal((7, 5))
             sigma = np.linalg.svd(m, compute_uv=False)
-            out = svt(m, mu)
+            out, _ = svt(m, mu)
             out_sigma = np.linalg.svd(out, compute_uv=False)
             expected = int(np.sum(sigma > mu))
             got = int(np.sum(out_sigma > RANK_CUTOFF * max(out_sigma[0], 1e-300)))
             assert got == expected
+
+    def test_returns_singular_values_of_result(self):
+        rng = np.random.default_rng(21)
+        for shape in ((7, 5), (5, 7), (40, 6)):
+            m = rng.standard_normal(shape)
+            sigma = np.linalg.svd(m, compute_uv=False)
+            for mu in (0.0, 0.5, 0.5 * (sigma[1] + sigma[2])):
+                out, shrunk = svt(m, mu)
+                assert shrunk.size == np.sum(sigma > mu)
+                # the singular values of the result, truncated to its rank
+                want = np.linalg.svd(out, compute_uv=False)[:shrunk.size]
+                assert np.linalg.norm(shrunk - want) <= \
+                    1e-12 * np.linalg.norm(want)
+                assert np.all(np.diff(shrunk) <= 0)
+
+    def test_values_empty_when_all_shrunk(self):
+        m = np.random.default_rng(4).standard_normal((6, 4))
+        sigma_max = np.linalg.svd(m, compute_uv=False)[0]
+        # an exact tie at the largest value, and a threshold above it
+        for m, mu in ((np.diag([2.0, 1.0]), 2.0), (m, 1.5 * sigma_max)):
+            out, shrunk = svt(m, mu)
+            assert shrunk.shape == (0,)
+            assert out.shape == m.shape and np.all(out == 0)
 
     def test_firmly_nonexpansive(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             a = rng.standard_normal((6, 4))
             b = rng.standard_normal((6, 4))
+            out_a, _ = svt(a, 0.8)
+            out_b, _ = svt(b, 0.8)
             assert (
-                np.linalg.norm(svt(a, 0.8) - svt(b, 0.8))
+                np.linalg.norm(out_a - out_b)
                 <= np.linalg.norm(a - b) + 1e-12
             )
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import warnings
+
 from lowrank.config import SolverConfig
+from lowrank.cpcp import solve_cpcp
 from lowrank.datasets import generate_planted
 from lowrank.measurements import ObservationMask
 from lowrank.metrics import auc, relative_error
-from lowrank.rmc import solve_rmc, solve_rpca
+from lowrank.rmc import solve_mc, solve_rmc, solve_rpca
 
 
 def planted(m=60, n=60, r=3, spike_frac=0.1, obs_frac=0.8, seed=0):
@@ -162,6 +165,24 @@ class TestConfigValidation:
     def test_rho_outside_guideline_warns(self):
         with pytest.warns(UserWarning, match="rho"):
             SolverConfig(d=2, rho=1.5).validate()
+
+    @pytest.mark.parametrize("solver", ["rmc", "mc", "rpca", "cpcp"])
+    def test_rho_warning_names_the_calling_line(self, solver):
+        p = planted(m=12, n=10, r=2, seed=3)
+        cfg = SolverConfig(d=2, rho=1.5, max_iter=2)
+        calls = {
+            "rmc": lambda: solve_rmc(p.d_obs, p.mask, cfg),
+            "mc": lambda: solve_mc(p.d_obs, p.mask, cfg),
+            "rpca": lambda: solve_rpca(p.d_obs, cfg),
+            "cpcp": lambda: solve_cpcp(p.mask.forward(p.d_obs), p.mask, cfg),
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = calls[solver].__code__.co_firstlineno
+            calls[solver]()
+        (w,) = [w for w in caught if "rho" in str(w.message)]
+        assert w.filename == __file__
+        assert w.lineno == line
 
     def test_zero_tol_rejected(self):
         with pytest.raises(ValueError, match="tol"):

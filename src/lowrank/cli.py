@@ -4,8 +4,8 @@ Subcommands: synth (planted problem files), rmc / rpca / mc / cpcp (solver
 runs writing factor, sparse, and trace files), eval (metrics between an
 estimate directory and a truth directory).
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid flags or configuration,
-3 solver hit the iteration cap (outputs are still written).
+Exit codes: 0 success, 1 I/O failure, 2 invalid flags, configuration or
+inputs, 3 solver hit the iteration cap (outputs are still written).
 """
 
 import argparse
@@ -186,41 +186,46 @@ def cmd_synth(args):
 
 
 def cmd_solve(args):
-    default_iters = 1000 if args.command == "cpcp" else 500
-    try:
-        cfg = _build_solver_config(args, default_iters)
-        # The solver validates cfg again and warns then, so warn only once.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg.validate()
-        if args.command == "cpcp" and cfg.adjust_rank:
-            raise ValueError("adjust_rank is not supported by cpcp")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "cpcp":
+    cpcp = args.command == "cpcp"
+    if cpcp:
+        y_meas = load_matrix(args.measurements).ravel()
         shape = (args.rows, args.cols)
     else:
         data = load_matrix(args.data)
         shape = data.shape
-    if cfg.d > min(shape):
-        print(f"error: rank bound d={cfg.d} exceeds min(m, n)={min(shape)}",
-              file=sys.stderr)
+        mask = None if args.command == "rpca" else load_mask(args.mask)
+    # Every input is checked before the cpcp subspace draw, which takes
+    # seconds at 80^2, and before anything is written.
+    try:
+        cfg = _build_solver_config(args, 1000 if cpcp else 500)
+        # The solver validates cfg again and warns then, so warn only once.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg.validate()
+        cfg.check_rank_bound(*shape)
+        if cpcp:
+            if cfg.adjust_rank:
+                raise ValueError("adjust_rank is not supported by cpcp")
+            p, size = args.subspace_dim, args.rows * args.cols
+            if not 1 <= p <= size:
+                raise ValueError(
+                    f"subspace dimension {p} out of range [1, {size}]")
+            if y_meas.size != p:
+                raise ValueError(f"{y_meas.size} measurements != dimension {p}")
+        elif mask is not None and mask.shape != shape:
+            raise ValueError(f"mask shape {mask.shape} != data {shape}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "cpcp":
-        y_meas = load_matrix(args.measurements).ravel()
-        q = draw_random_subspace(
-            args.rows, args.cols, args.subspace_dim, args.subspace_seed
-        )
+    if cpcp:
+        q = draw_random_subspace(args.rows, args.cols, p, args.subspace_seed)
         result = solve_cpcp(y_meas, q, cfg)
         _write_result(args.out_dir, result, include_ratio=True)
     else:
-        if args.command == "rpca":
+        if mask is None:
             result = solve_rpca(data, cfg)
         else:
-            mask = load_mask(args.mask)
             solver = solve_rmc if args.command == "rmc" else solve_mc
             result = solver(data, mask, cfg)
         _write_result(args.out_dir, result)

@@ -28,7 +28,7 @@ class SolverConfig:
     lam: float | str = "auto"        # regularizer; "auto" -> sqrt(max(m, n))
     d: int = 10                      # initial rank bound
     rho: float = 1.1                 # penalty growth factor, (1.0, 1.1] advised
-    alpha0: float | str = "auto"     # initial penalty; "auto" is solver-specific
+    alpha0: float | str = "auto"     # initial penalty; "auto" -> 1 / ||data||
     alpha_max: float = 1e10
     tol: float = 1e-4                # relative stopping tolerance
     max_iter: int = 500
@@ -58,8 +58,18 @@ class SolverConfig:
                 stacklevel=_outside_stacklevel(),
             )
 
+    def check_rank_bound(self, m, n):
+        if self.d > min(m, n):
+            raise ValueError(
+                f"rank bound d={self.d} exceeds min(m, n)={min(m, n)}")
+
     def resolve_lambda(self, m, n):
         return math.sqrt(max(m, n)) if self.lam == "auto" else float(self.lam)
+
+    def resolve_alpha0(self, data_norm):
+        if self.alpha0 != "auto":
+            return float(self.alpha0)
+        return 1.0 / data_norm if data_norm > 0 else 1.0
 
 
 @dataclass

@@ -47,13 +47,10 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     if not np.all(np.isfinite(y_meas)):
         raise ValueError("measurements contain non-finite values")
     m, n = q.shape
-    if cfg.d > min(m, n):
-        raise ValueError(f"rank bound d={cfg.d} exceeds min(m, n)={min(m, n)}")
+    cfg.check_rank_bound(m, n)
 
     lam = cfg.resolve_lambda(m, n)
-    y_norm = float(np.linalg.norm(y_meas))
-    alpha = (1.0 / y_norm if y_norm > 0 else 1.0) \
-        if cfg.alpha0 == "auto" else float(cfg.alpha0)
+    alpha = cfg.resolve_alpha0(float(np.linalg.norm(y_meas)))
 
     d = cfg.d
     u = np.eye(m, d)

@@ -22,18 +22,16 @@ Off Omega the multiplier stays zero and the target P equals the previous
 product U V^T, so P differs from that product only on Omega. The two products
 with P are therefore a rank-d term plus a product with a matrix E that is
 zero off Omega (the sparse-plus-low-rank products of Mazumder, Hastie and
-Tibshirani's Soft-Impute). Below an observed fraction |Omega| / mn of
+Tibshirani's Soft-Impute), and L = U V^T is needed only on Omega, where it
+is evaluated by blocks of rows: one GEMM per block that holds Omega entries,
+into one small reused buffer. Below an observed fraction |Omega| / mn of
 SPARSE_DENSITY, E is a CSR array whose values are the Omega vector itself:
-its two products cost O(|Omega| d). L = U V^T is then needed only on Omega,
-and is evaluated block by block: one GEMM per block of rows that holds
-Omega entries, into one small reused buffer, from which the block's Omega
-entries are taken. No m x n array is allocated in the loop. Above the cut,
-E is a dense m x n buffer and an iteration costs three m x n GEMMs of width
-d (E V, E^T U and U V^T into a second buffer, read on Omega). Either way
-the rest is O(|Omega|) elementwise work on vectors held in buffers
-allocated once, and no vector of length |Omega| is allocated in the loop;
-the dense product, sparse part and multiplier are formed only for
-``iter_callback`` and for the result.
+its two products cost O(|Omega| d), and the loop allocates no m x n array.
+Above the cut, E is a dense m x n buffer, the loop's one m x n array, and its
+two products are m x n GEMMs of width d. The rest is O(|Omega|) elementwise
+work on vectors held in buffers allocated once, and no vector of length
+|Omega| is allocated in the loop; the dense product, sparse part and
+multiplier are formed only for ``iter_callback`` and for the result.
 """
 
 import math
@@ -55,19 +53,18 @@ from .prox import soft_threshold, svt  # noqa: F401
 _DEGENERATE = 1e-300
 
 # Below this observed fraction |Omega| / mn the two products with the
-# Omega-supported matrix E are taken in CSR form and U V^T is evaluated on
-# Omega by row blocks; above it dense BLAS on m x n buffers is faster. One
-# BLAS thread, d = 10-20, 500^2-1000^2: the CSR and dense products of E cost
-# the same at 0.2-0.35, and at 500^2, 70% observed, d = 20 one full GEMM of
-# U V^T plus the take beats the blocks (0.62 ms against 0.65 ms).
+# Omega-supported matrix E are taken in CSR form; above it dense BLAS on an
+# m x n buffer is faster. One BLAS thread, d = 10-20, 500^2-1000^2: the CSR
+# and dense products of E cost the same at 0.2-0.35.
 SPARSE_DENSITY = 0.25
 
-# On the CSR path U V^T is evaluated by blocks of rows whose product holds
-# about this many entries, so the reused block buffer (512 KiB) stays in L2.
+# U V^T is evaluated on Omega by blocks of rows whose product holds about
+# this many entries, so the reused block buffer (512 KiB) stays in L2.
 # One BLAS thread, d = 10, shortest of repeated runs: L on Omega at
 # 1000 x 500, 4.5% observed, took 0.45 ms in blocks of 2^16 entries, 0.51 ms
 # in blocks of 2^15 and 0.59 ms as one GEMM; at 10000 x 5000, 1%, blocks of
-# 2^16 took 42 ms and of 2^15 (6 rows each) 58 ms.
+# 2^16 took 42 ms and of 2^15 (6 rows each) 58 ms. At 500^2, 70%, d = 20 the
+# blocks took 0.65 ms, one GEMM into a second m x n buffer 0.62 ms.
 BLOCK_ENTRIES = 2**16
 
 # The once-only rank adjustment is first evaluated at this iteration.
@@ -148,62 +145,53 @@ def _omega_matrix(mask, csr):
     Omega into ``out``; given an m x n ``product``, it writes all of U V^T
     there too.
 
-    With ``csr``, E is a CSR array whose ``data`` is ``values`` and E^T a CSC
-    view of the same array, so loading is free and each product costs
-    O(|Omega| d). U V^T is evaluated by blocks of rows, one GEMM per block
-    that holds Omega entries, into one buffer of about BLOCK_ENTRIES entries;
-    the block bounds in Omega and the block-local indices are computed here,
-    in O(|Omega|) memory. Otherwise E is a dense m x n buffer, zeroed once,
-    that ``load`` writes at Omega, each product is a dense GEMM, and U V^T is
-    one GEMM into a second m x n buffer.
+    U V^T is evaluated by blocks of rows, one GEMM per block that holds Omega
+    entries, into one buffer of about BLOCK_ENTRIES entries; the block bounds
+    in Omega and the block-local indices are computed here, in O(|Omega|)
+    memory. With ``csr``, E is a CSR array whose ``data`` is ``values`` and
+    E^T a CSC view of the same array, so loading is free and each product
+    costs O(|Omega| d). Otherwise E is a dense m x n buffer, zeroed once, that
+    ``load`` writes at Omega, and each product is a dense GEMM.
     """
     m, n = mask.shape
     flat = mask.flat_indices
+    # flat is row-major, so it lists Omega in CSR order
+    indptr = np.searchsorted(flat, np.arange(0, m * n + 1, n))
+    rows = max(1, BLOCK_ENTRIES // n)
+    starts = np.arange(0, m, rows)
+    bounds = indptr[np.append(starts, m)]   # each block's span of Omega
+    # flat index minus the flat index of its block's first entry
+    local = flat - np.repeat(starts * n, np.diff(bounds))
+    buffer = np.empty((min(rows, m), n))
+    # (rows, Omega span, block-local indices, buffer view) of each block
+    blocks = [(slice(r0, r1), slice(lo, hi), local[lo:hi], buffer[:r1 - r0])
+              for r0, r1, lo, hi in zip(
+                  starts.tolist(), np.minimum(starts + rows, m).tolist(),
+                  bounds[:-1].tolist(), bounds[1:].tolist())]
+
+    def low_rank(u, v, out, product=None):
+        for block_rows, span, indices, block in blocks:
+            if product is not None:
+                block = product[block_rows]
+            elif span.start == span.stop:
+                continue
+            np.matmul(u[block_rows], v.T, out=block)
+            # indices in range: mode="clip" lets take write out unbuffered
+            np.take(block.reshape(-1), indices, out=out[span], mode="clip")
+
     if csr:
-        # flat is row-major, so it lists Omega in CSR order
-        indptr = np.searchsorted(flat, np.arange(0, m * n + 1, n))
         e = csr_array((np.zeros(flat.size), flat % n, indptr), shape=(m, n))
         e_t = e.T
         if not np.shares_memory(e_t.data, e.data):
             raise RuntimeError("the CSC transpose does not share the CSR values")
-        rows = max(1, BLOCK_ENTRIES // n)
-        starts = np.arange(0, m, rows)
-        bounds = indptr[np.append(starts, m)]   # each block's span of Omega
-        # flat index minus the flat index of its block's first entry
-        local = flat - np.repeat(starts * n, np.diff(bounds))
-        buffer = np.empty((min(rows, m), n))
-        # (rows, Omega span, block-local indices, buffer view) of each block
-        blocks = [(slice(r0, r1), slice(lo, hi), local[lo:hi], buffer[:r1 - r0])
-                  for r0, r1, lo, hi in zip(
-                      starts.tolist(), np.minimum(starts + rows, m).tolist(),
-                      bounds[:-1].tolist(), bounds[1:].tolist())]
-
-        def low_rank(u, v, out, product=None):
-            for block_rows, span, indices, block in blocks:
-                if product is not None:
-                    block = product[block_rows]
-                elif span.start == span.stop:
-                    continue
-                np.matmul(u[block_rows], v.T, out=block)
-                # indices in range: mode="clip" lets take write out unbuffered
-                np.take(block.reshape(-1), indices, out=out[span], mode="clip")
-
         return e.data, lambda: (e, e_t), low_rank
 
     e = np.zeros((m, n))
     values = np.zeros(flat.size)
-    buffer = np.empty((m, n))
-    # np.take copies read-only indices, such as the mask's, on every call
-    indices = flat.copy()
 
     def load():
         e.reshape(-1)[flat] = values
         return e, e.T
-
-    def low_rank(u, v, out, product=None):
-        product = buffer if product is None else product
-        np.matmul(u, v.T, out=product)
-        np.take(product.reshape(-1), indices, out=out, mode="clip")
 
     return values, load, low_rank
 
@@ -253,13 +241,11 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     m, n = mask.shape
     if mask.dim == 0:
         raise ValueError("observation mask is empty")
-    if cfg.d > min(m, n):
-        raise ValueError(f"rank bound d={cfg.d} exceeds min(m, n)={min(m, n)}")
+    cfg.check_rank_bound(m, n)
 
     lam = cfg.resolve_lambda(m, n)
     obs_norm = float(np.linalg.norm(data))
-    alpha = (1.0 / obs_norm if obs_norm > 0 else 1.0) \
-        if cfg.alpha0 == "auto" else float(cfg.alpha0)
+    alpha = cfg.resolve_alpha0(obs_norm)
     threshold = cfg.tol * obs_norm if obs_norm > 0 else cfg.tol
 
     d = cfg.d

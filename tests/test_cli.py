@@ -188,6 +188,43 @@ class TestSolveCommands:
         assert "rank bound d=16 exceeds min(m, n)=15" in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
+    @pytest.mark.parametrize("command", ["rmc", "mc"])
+    def test_mask_shape_mismatch_is_invalid_input(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(cli, f"solve_{command}", no_solve)
+        data = synth(tmp_path, name="a", rows=20, cols=15, rank=2, obs=0.8)
+        mask = synth(tmp_path, name="b", rows=15, cols=20, rank=2, obs=0.8)
+        code = run(command, "--data", str(data / "d_obs.txt"),
+                   "--mask", str(mask / "mask.txt"), "--rank", "2",
+                   "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert "mask shape (15, 20) != data (20, 15)" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("dim, entries, message", [
+        (0, 10, "subspace dimension 0 out of range [1, 25]"),
+        (26, 26, "subspace dimension 26 out of range [1, 25]"),
+        (10, 12, "12 measurements != dimension 10"),
+    ])
+    def test_cpcp_invalid_measurements_rejected_before_draw(
+            self, tmp_path, capsys, monkeypatch, dim, entries, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("subspace drawn")
+
+        monkeypatch.setattr(cli, "draw_random_subspace", no_draw)
+        meas = tmp_path / "y.txt"
+        save_matrix(meas, np.ones((entries, 1)))
+        code = run("cpcp", "--measurements", str(meas), "--rows", "5",
+                   "--cols", "5", "--subspace-seed", "1", "--subspace-dim",
+                   str(dim), "--rank", "2", "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         truth = synth(tmp_path, rows=20, cols=20, rank=2)
         config = tmp_path / "solver.cfg"

@@ -7,8 +7,8 @@ to rounding. With d above the true rank the trailing QR columns of a
 rank-deficient P V turn rounding into a different path, so there the gate is
 on outcomes. The RMC and MC checks run on both sides of ``SPARSE_DENSITY``:
 above it the driver takes its two products with a dense m x n buffer, below
-it with a CSR array over Omega and evaluates U V^T on Omega by row blocks;
-one CSR instance spans several blocks.
+it with a CSR array over Omega. Both evaluate U V^T on Omega by row blocks,
+and one instance on each side spans several blocks.
 """
 
 import tracemalloc
@@ -244,6 +244,14 @@ def test_mc_csr_path_over_row_blocks_matches_dense_loop():
     check_mc_path(INSTANCES[0], CSR_OBS, shape=MULTI_BLOCK)
 
 
+def test_rmc_dense_path_over_row_blocks_matches_dense_loop():
+    check_rmc_path(INSTANCES[0], "qr", DENSE_OBS, shape=MULTI_BLOCK)
+
+
+def test_mc_dense_path_over_row_blocks_matches_dense_loop():
+    check_mc_path(INSTANCES[0], DENSE_OBS, shape=MULTI_BLOCK)
+
+
 @pytest.mark.parametrize("seed", INSTANCES)
 def test_rpca_matches_dense_loop_every_iteration(seed):
     p = small_instance(seed, obs_frac=1.0)
@@ -317,6 +325,27 @@ def test_csr_path_allocates_no_dense_product(solve):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 8 * m * n, peak / (8 * m * n)
+
+
+@pytest.mark.parametrize("solve", [solve_mc, solve_rmc])
+def test_dense_path_holds_one_m_by_n_work_array(solve):
+    # Without a callback the loop's one m x n array is the dense buffer of E;
+    # U V^T on Omega takes a block buffer, not a second m x n one. The peak
+    # is E, the dense S and Y of the result, 3 * 8mn bytes, plus Omega
+    # vectors: seven of float64 values and one of block-local indices.
+    m, n = 1000, 600
+    rng = np.random.default_rng(3)
+    d_obs = rng.standard_normal((m, 3)) @ rng.standard_normal((n, 3)).T
+    mask = ObservationMask(rng.random((m, n)) < 0.5)
+    assert_path(mask, False)
+    cfg = SolverConfig(lam=1.0, d=5, max_iter=5)
+    tracemalloc.start()
+    try:
+        solve(d_obs, mask, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 8 * m * n, peak / (8 * m * n)
 
 
 def test_rank_adjustment_outcome_matches_dense_loop():

@@ -3,9 +3,15 @@
 
 Completes the sparse user-item matrix at several factor rank bounds and
 reports held-out RMSE against the global-mean baseline, with the iteration
-count and milliseconds per iteration of each solve. Pass --ratings to
-score a real triplet file ("user item rating", "u::i::r::t", or CSV);
-without it a rank-5 preference matrix is synthesized.
+count and milliseconds per iteration of each solve. It also prints how long
+``load_ratings`` and ``train_matrix`` took. Pass --ratings to score a real
+triplet file ("user item rating", "u::i::r::t", or CSV); without it a rank-5
+preference matrix is synthesized as "u::i::r::t" lines, 80 users by 60 items
+at 30% density, or --synthetic-lines N of them on a MovieLens-1M-shaped
+matrix scaled to N (6040 x 3706 at 10^6 lines). Pass --ranks with no value
+to time the ingestion alone:
+
+    python3 scripts/run_ratings_benchmark.py --synthetic-lines 1000000 --ranks
 """
 
 import argparse
@@ -18,41 +24,67 @@ import numpy as np
 from lowrank import SolverConfig, load_ratings, rmse, solve_mc
 
 
-def synthesize(path, num_users=80, num_items=60, rank=5, density=0.3, seed=42):
+def synthesize(path, lines, num_users, num_items, rank=5, seed=42):
+    """Write ``lines`` distinct "user::item::rating::timestamp" lines in a
+    random order: 1-based ids, ratings of a rank-``rank`` preference model
+    rounded to 1-5 stars."""
     rng = np.random.default_rng(seed)
-    profile = rng.standard_normal((num_users, rank)) @ \
-        rng.standard_normal((num_items, rank)).T
-    truth = np.clip(3.0 + profile / np.sqrt(rank), 1.0, 5.0)
-    lines = [
-        f"{i} {j} {truth[i, j]:.6f}"
-        for i in range(num_users) for j in range(num_items)
-        if rng.random() < density
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    cells = np.empty(0, dtype=np.int64)
+    while cells.size < lines:  # redraw the cells that collided
+        cells = np.sort(np.concatenate((cells, rng.integers(
+            0, num_users * num_items, size=lines - cells.size))))
+        cells = cells[np.append(True, cells[1:] != cells[:-1])]
+    users, items = np.divmod(rng.permutation(cells), num_items)
+    left = rng.standard_normal((num_users, rank))
+    right = rng.standard_normal((num_items, rank))
+    affinity = np.einsum("kr,kr->k", left[users], right[items]) / np.sqrt(rank)
+    stars = np.clip(np.rint(3.0 + affinity), 1, 5).astype(np.int64)
+    stamps = rng.integers(956_703_932, 1_046_454_590, size=lines)
+    table = np.column_stack((users + 1, items + 1, stars, stamps))
+    block = 100_000
+    with open(path, "w") as fh:
+        for start in range(0, lines, block):
+            rows = table[start:start + block]
+            fh.write("%d::%d::%d::%d\n" * len(rows)
+                     % tuple(rows.ravel().tolist()))
+
+
+def movielens_shape(lines):
+    """Users and items of a MovieLens-1M-shaped matrix holding ``lines``."""
+    scale = np.sqrt(lines / 1_000_209)
+    return max(1, round(6040 * scale)), max(1, round(3706 * scale))
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--ratings", type=Path, default=None)
+    ap.add_argument("--synthetic-lines", type=int, default=None)
     ap.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    ap.add_argument("--ranks", type=int, nargs="+", default=[2, 5, 10, 20])
+    ap.add_argument("--ranks", type=int, nargs="*", default=[2, 5, 10, 20])
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    if args.ratings is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "ratings.txt"
-            synthesize(path)
-            ds = load_ratings(path, seed=args.seed)
-        print("synthesized rank-5 ratings")
-    else:
-        ds = load_ratings(args.ratings, seed=args.seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = args.ratings
+        if path is None:
+            path = Path(tmp) / "ratings.dat"
+            if args.synthetic_lines is None:
+                synthesize(path, 1440, 80, 60)
+            else:
+                synthesize(path, args.synthetic_lines,
+                           *movielens_shape(args.synthetic_lines))
+            print("synthesized rank-5 ratings")
+        start = time.perf_counter()
+        ds = load_ratings(path, seed=args.seed)
+    loaded = time.perf_counter()
     train, mask = ds.train_matrix()
+    print(f"load_ratings {loaded - start:.3f} s, "
+          f"train_matrix {time.perf_counter() - loaded:.3f} s")
     print(f"{ds.num_users} users x {ds.num_items} items, "
-          f"{len(ds.train)} train / {len(ds.test)} test ratings")
+          f"{mask.dim} train / {len(ds.test_idx)} test ratings")
 
     global_mean = mask.forward(train).mean()
-    baseline = rmse(np.full_like(train, global_mean), ds.test)
+    baseline = rmse(np.broadcast_to(global_mean, train.shape), ds.test)
     print(f"global-mean baseline RMSE: {baseline:.4f}")
 
     for d in args.ranks:

@@ -18,7 +18,12 @@ import numpy as np
 
 from .config import SolverConfig, write_trace_csv
 from .cpcp import solve_cpcp
-from .datasets import generate_planted, load_matrix, save_matrix
+from .datasets import (
+    generate_planted,
+    load_matrix,
+    read_rating_columns,
+    save_matrix,
+)
 from .measurements import draw_random_subspace, load_mask, save_mask
 from .metrics import auc, relative_error, rmse
 from .rmc import solve_mc, solve_rmc, solve_rpca
@@ -244,16 +249,9 @@ def _load_estimate_low_rank(est_dir):
 
 
 def _load_test_triplets(path):
-    triplets = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'user item rating'")
-            triplets.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return triplets
+    """Test ratings in the ``load_ratings`` grammar, ids used as written."""
+    users, items, values = read_rating_columns(path)
+    return list(zip(users.tolist(), items.tolist(), values.tolist()))
 
 
 def cmd_eval(args):

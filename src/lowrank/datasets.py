@@ -1,6 +1,36 @@
-"""Problem generation, ratings ingestion, and matrix text I/O."""
+"""Problem generation, ratings ingestion, and matrix text I/O.
 
+Ingestion contract. A ratings file (``load_ratings``, and the test file of
+``lowrank eval --metric rmse``) holds one rating per line: ``user item
+rating`` and an optional fourth field, a timestamp that is never read.
+Blank lines are skipped. A line containing ``::`` is split on ``::``, else
+one containing ``,`` on ``,``, else on whitespace. Ids are Python ``int``
+literals and ratings Python ``float`` literals; a rating that is not finite
+(``nan``, ``inf``, ``1e400``) is rejected. Every error names the file and
+line (``path:line: ...``), and a file without ratings is rejected.
+
+The grammar is applied per line, but read per file: the separator is sniffed
+once from the whole file and numpy's C parser reads the columns. When that
+parse cannot vouch for the per-line answer (mixed separators or field
+counts, ids such as ``1_000`` that only Python's ``int`` reads, or any
+error), the file is re-read line by line by the reference reader, which
+returns what the per-line grammar gives or raises its ``path:line`` error.
+Either way the result is the same.
+
+``load_ratings`` remaps ids to dense 0-based indices in sorted order. A
+(user, item) pair given more than once keeps its last value, and the number
+of repeats is counted in ``duplicate_count`` and warned about once.
+
+A matrix file (``save_matrix``/``load_matrix``) has a ``rows cols`` header
+and then exactly ``rows`` lines of ``cols`` values; blank lines may follow
+the last row but not precede it. Its rows go through numpy's C parser too,
+with the same per-line reference behind it for the ``path:line`` errors.
+"""
+
+import functools
+import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -53,30 +83,54 @@ def generate_planted(m, n, r, spike_frac, magnitude=1.0, obs_frac=1.0, seed=0):
     return PlantedProblem(l0=l0, s0=s0, mask=mask, d_obs=d_obs, rank=r)
 
 
-@dataclass
+RATING_DTYPE = np.dtype([("user", np.int64), ("item", np.int64),
+                         ("value", np.float64)])
+
+
+def _as_tuples(columns):
+    return list(zip(columns["user"].tolist(), columns["item"].tolist(),
+                    columns["value"].tolist()))
+
+
 class RatingDataset:
-    """User-item rating triplets with a seeded 9:1 train/test split."""
+    """User-item ratings with a seeded 9:1 train/test split.
 
-    triplets: list[tuple[int, int, float]]
-    num_users: int
-    num_items: int
-    train_idx: np.ndarray
-    test_idx: np.ndarray
-    duplicate_count: int = 0
+    ``columns`` is a structured array (``RATING_DTYPE``: ``user``, ``item``,
+    ``value``), one row per rating; ``load_ratings`` stores it deduplicated
+    in row-major order. The constructor also takes a list of (user, item,
+    rating) tuples. ``triplets``, ``train`` and ``test`` are lists of such
+    tuples, built on first read.
+    """
 
-    @property
+    def __init__(self, triplets, num_users, num_items, train_idx, test_idx,
+                 duplicate_count=0):
+        self.columns = np.asarray(triplets, dtype=RATING_DTYPE)
+        if self.columns.ndim != 1:
+            raise ValueError("triplets must be (user, item, rating) tuples")
+        self.num_users = num_users
+        self.num_items = num_items
+        self.train_idx = train_idx
+        self.test_idx = test_idx
+        self.duplicate_count = duplicate_count
+
+    @functools.cached_property
+    def triplets(self):
+        return _as_tuples(self.columns)
+
+    @functools.cached_property
     def train(self):
-        return [self.triplets[i] for i in self.train_idx]
+        return _as_tuples(self.columns[self.train_idx])
 
-    @property
+    @functools.cached_property
     def test(self):
-        return [self.triplets[i] for i in self.test_idx]
+        return _as_tuples(self.columns[self.test_idx])
 
     def train_matrix(self):
         """Dense matrix of training ratings plus its observation mask."""
-        # sorted, because adjoint reads the values in row-major order
-        train = np.fromiter(sorted(self.train), dtype=[
-            ("user", np.int64), ("item", np.int64), ("value", np.float64)])
+        train = self.columns[self.train_idx]
+        # adjoint reads the values in row-major order
+        flat = train["user"] * self.num_items + train["item"]
+        train = train[np.argsort(flat, kind="stable")]
         mask = ObservationMask.from_indices(
             self.num_users, self.num_items,
             np.column_stack((train["user"], train["item"])))
@@ -99,55 +153,112 @@ def _split_fields(line):
     return line.split()
 
 
+def _read_rating_lines(lines, path):
+    """The reference reader: the grammar applied line by line in Python."""
+    users, items, values = [], [], []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = _split_fields(line)
+        if len(parts) not in (3, 4):
+            raise ValueError(f"{path}:{lineno}: expected 3 or 4 fields")
+        try:
+            user, item, value = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{path}:{lineno}: non-finite rating {parts[2].strip()!r}")
+        users.append(user)
+        items.append(item)
+        values.append(value)
+    if not users:
+        raise ValueError(f"{path}: no ratings found")
+    return np.array(users), np.array(items), np.array(values)
+
+
+def _parse_rating_columns(data):
+    """The same grammar through numpy's C parser, or None where it cannot
+    vouch for the reference's answer.
+
+    The separator is sniffed once: ``::`` if it occurs anywhere, else ``,``
+    if that does, else whitespace, so a line that the per-line grammar would
+    split on another separator fails the parse. The field count comes from
+    the first non-blank line, and loadtxt refuses lines of any other count.
+    ``::`` is parsed as two ``:`` columns around an empty one.
+    """
+    sep = b"::" if b"::" in data else b"," if b"," in data else None
+    first = re.search(rb"\S[^\r\n]*", data)
+    if first is None:
+        return None
+    fields = len(first.group().split(sep))
+    if fields not in (3, 4):
+        return None
+    columns = [("user", np.int64), ("item", np.int64), ("value", np.float64),
+               ("stamp", "S1")]
+    dtype, gaps = [], []
+    for k, column in enumerate(columns[:fields]):
+        if k and sep == b"::":
+            gaps.append(f"gap{k}")
+            dtype.append((gaps[-1], "S1"))
+        dtype.append(column)
+    lines = io.TextIOWrapper(io.BytesIO(data))
+    with warnings.catch_warnings():
+        # Any warning, such as one numpy gives before changing a rule, is a
+        # refusal.
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1,
+                               delimiter={b"::": ":", b",": ","}.get(sep))
+        except (ValueError, Warning):
+            return None
+    if any((table[name] != b"").any() for name in gaps):
+        return None
+    if not np.isfinite(table["value"]).all():
+        return None
+    return table["user"], table["item"], table["value"]
+
+
+def read_rating_columns(path):
+    """(user, item, rating) columns of a ratings file, in file order, ids as
+    written. See the module docstring for the grammar and the errors."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    columns = _parse_rating_columns(data)
+    if columns is None:
+        columns = _read_rating_lines(io.TextIOWrapper(io.BytesIO(data)), path)
+    return columns
+
+
 def load_ratings(path, seed=0):
-    """Read "user item rating [timestamp]" lines; separators are sniffed.
+    """Read "user item rating [timestamp]" lines (the grammar and errors of
+    the module docstring) into a ``RatingDataset``.
 
     External 1-based (or arbitrary) ids are remapped to dense 0-based
     indices by sorted order. Duplicate (user, item) pairs keep the last
     value and are counted with a warning.
     """
-    raw = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = _split_fields(line)
-            if len(parts) not in (3, 4):
-                raise ValueError(f"{path}:{lineno}: expected 3 or 4 fields")
-            try:
-                user, item, value = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            raw.append((user, item, value))
-    if not raw:
-        raise ValueError(f"{path}: no ratings found")
-
-    users = sorted({u for u, _, _ in raw})
-    items = sorted({i for _, i, _ in raw})
-    user_map = {u: k for k, u in enumerate(users)}
-    item_map = {i: k for k, i in enumerate(items)}
-
-    latest = {}
-    duplicates = 0
-    for user, item, value in raw:
-        key = (user_map[user], item_map[item])
-        if key in latest:
-            duplicates += 1
-        latest[key] = value
+    user, item, value = read_rating_columns(path)
+    users, user_idx = np.unique(user, return_inverse=True)
+    items, item_idx = np.unique(item, return_inverse=True)
+    # A stable sort keeps equal keys in file order, so the last of each run
+    # is the value that wins.
+    key = user_idx * len(items) + item_idx
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    keep = order[np.append(key[1:] != key[:-1], True)]
+    duplicates = len(order) - len(keep)
     if duplicates:
         warnings.warn(f"{path}: {duplicates} duplicate (user, item) pairs; "
                       "kept the last value of each", stacklevel=2)
 
-    triplets = [(u, i, val) for (u, i), val in sorted(latest.items())]
-    train_idx, test_idx = split_ratings(triplets, seed)
-    return RatingDataset(
-        triplets=triplets,
-        num_users=len(users),
-        num_items=len(items),
-        train_idx=train_idx,
-        test_idx=test_idx,
-        duplicate_count=duplicates,
-    )
+    columns = np.empty(len(keep), dtype=RATING_DTYPE)
+    columns["user"] = user_idx[keep]
+    columns["item"] = item_idx[keep]
+    columns["value"] = value[keep]
+    train_idx, test_idx = split_ratings(columns, seed)
+    return RatingDataset(columns, len(users), len(items), train_idx, test_idx,
+                         duplicate_count=duplicates)
 
 
 def save_matrix(path, a):
@@ -163,22 +274,44 @@ def save_matrix(path, a):
         fh.writelines(row_format % tuple(row.tolist()) for row in a)
 
 
+def _read_matrix_rows(fh, path, rows, cols):
+    """The reference reader of a matrix body: ``rows`` lines of ``cols``
+    values, each token parsed by Python's ``float``."""
+    out = np.empty((rows, cols))
+    for i in range(rows):
+        parts = fh.readline().split()
+        if len(parts) != cols:
+            raise ValueError(
+                f"{path}:{i + 2}: expected {cols} values, got {len(parts)}"
+            )
+        try:
+            out[i] = [float(x) for x in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i + 2}: {exc}") from exc
+    return out
+
+
 def load_matrix(path):
+    """Read a ``save_matrix`` file. Its rows go through numpy's C parser,
+    streamed from the file; a body that parser refuses is re-read by the
+    reference reader, which raises the error naming the file and line (or
+    takes what only Python's ``float`` accepts, such as ``1_0``)."""
     with open(path) as fh:
         rows, cols = read_shape(fh, path)
         if rows == 0 or cols == 0:
             raise ValueError(f"{path}: degenerate shape {rows}x{cols}")
-        out = np.empty((rows, cols))
-        for i in range(rows):
-            parts = fh.readline().split()
-            if len(parts) != cols:
-                raise ValueError(
-                    f"{path}:{i + 2}: expected {cols} values, got {len(parts)}"
-                )
+        body = fh.tell()
+        with warnings.catch_warnings():
+            # loadtxt warns when it skips a blank line among the max_rows it
+            # reads; as an error, that makes the line a refusal.
+            warnings.simplefilter("error")
             try:
-                out[i] = [float(x) for x in parts]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{i + 2}: {exc}") from exc
+                out = np.loadtxt(fh, comments=None, max_rows=rows, ndmin=2)
+            except (ValueError, Warning):
+                out = None
+        if out is None or out.shape != (rows, cols):
+            fh.seek(body)
+            out = _read_matrix_rows(fh, path, rows, cols)
         for lineno, line in enumerate(fh, start=rows + 2):
             if line.strip():
                 raise ValueError(f"{path}:{lineno}: more than {rows} rows")

@@ -1,6 +1,6 @@
 """Low-rank matrix recovery via bilinear factorization ADMM."""
 
-from .config import IterationRecord, SolveResult, SolverConfig
+from .config import Iterate, IterationRecord, SolveResult, SolverConfig
 from .cpcp import solve_cpcp
 from .datasets import (
     PlantedProblem,
@@ -31,6 +31,7 @@ from .prox import soft_threshold, svt
 from .rmc import adjust_rank_once, solve_mc, solve_rmc, solve_rpca
 
 __all__ = [
+    "Iterate",
     "IterationRecord",
     "ObservationMask",
     "PlantedProblem",

@@ -165,10 +165,11 @@ def _write_result(out_dir, result, include_ratio=False):
 
 
 def _summary(result):
-    residual = result.trace[-1].residual if result.trace else float("nan")
+    last = result.trace[-1] if result.trace else None
+    residual = last.residual if last else float("nan")
     print(
         f"termination={result.termination} iters={result.iterations} "
-        f"residual={residual:.6e}"
+        f"residual={residual:.6e} rank={last.rank if last else 0}"
     )
 
 

@@ -5,6 +5,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,61 @@ class IterationRecord:
     alpha: float
     d: int
     stop_ratio: float | None = None
+    rank: int | None = None          # rank of V after thresholding
+
+
+class Iterate:
+    """One iteration of a solver, as ``iter_callback`` receives it.
+
+    ``record`` is the ``IterationRecord`` just appended to the trace, and
+    ``u`` and ``v`` are the new factors. The rest is formed on first read and
+    cached, so a callback pays only for what it reads:
+
+    - ``s``: the m x n sparse part, whose entries off Omega are the exact
+      fill-in -U V^T (MC gives its auxiliary matrix Z);
+    - ``y``: the multiplier as in ``SolveResult.y``, m x n for RMC, RPCA and
+      MC and a length-p vector for CPCP;
+    - ``support``: the number of nonzero entries of S on Omega (of S for
+      CPCP; 0 for MC, whose S is zero).
+
+    The solver's buffers behind these are overwritten by its next iteration,
+    so once the callback has returned, reading one that the callback did not
+    read raises ``RuntimeError``. Arrays the callback did read are its own.
+    ``forms`` maps each of the three names to a function of the view that
+    forms the value.
+    """
+
+    def __init__(self, record, u, v, forms):
+        self.record = record
+        self.u = u
+        self.v = v
+        self._forms = forms
+
+    def pass_to(self, callback):
+        """Call ``callback(self)``; when it returns, the view stops forming."""
+        try:
+            callback(self)
+        finally:
+            self._forms = None
+
+    def _form(self, name):
+        if self._forms is None:
+            raise RuntimeError(
+                f"Iterate.{name} of iteration {self.record.iteration} was not "
+                "read during the callback, and the solver has moved on")
+        return self._forms[name](self)
+
+    @cached_property
+    def s(self):
+        return self._form("s")
+
+    @cached_property
+    def y(self):
+        return self._form("y")
+
+    @cached_property
+    def support(self):
+        return self._form("support")
 
 
 @dataclass
@@ -103,6 +159,7 @@ def write_trace_csv(path, trace, include_ratio=False):
     cols = ["iter", "residual", "objective", "alpha", "d"]
     if include_ratio:
         cols.append("stop_ratio")
+    cols.append("rank")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
@@ -117,4 +174,5 @@ def write_trace_csv(path, trace, include_ratio=False):
             if include_ratio:
                 ratio = rec.stop_ratio
                 row.append("" if ratio is None else f"{ratio:.17g}")
+            row.append("" if rec.rank is None else rec.rank)
             writer.writerow(row)

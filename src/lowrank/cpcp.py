@@ -16,7 +16,7 @@ measurement space.
 
 import numpy as np
 
-from .config import IterationRecord, SolveResult
+from .config import Iterate, IterationRecord, SolveResult
 # perfbench/tracing.py patches spectral_norm and nuclear_norm in this module,
 # so they stay importable from it; the solver calls neither.
 from .linalg import spectral_norm  # noqa: F401
@@ -31,9 +31,10 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     """Recover a low-rank plus sparse matrix from p linear measurements.
 
     ``q`` is a measurement operator with orthonormal rows, a mask included.
-    ``iter_callback(k, u, v, s, y)`` is invoked after each iteration's dual
-    update, as for the other solvers, with the m x n sparse part S and the
-    length-p measurement-space multiplier y, as in ``SolveResult.y``.
+    ``iter_callback(it)`` is invoked after each iteration's dual update, as
+    for the other solvers, with an ``Iterate`` view whose ``s`` is the m x n
+    sparse part S and ``y`` the length-p measurement-space multiplier, as in
+    ``SolveResult.y``; the solver holds both already.
     """
     cfg.validate()
     if cfg.adjust_rank:
@@ -63,6 +64,9 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     fit = q.forward(t + s)
     trace = []
     termination = "max_iter_reached"
+    # read only while the callback runs, so they see this iteration's S and y
+    forms = {"s": lambda it: s, "y": lambda it: dual,
+             "support": lambda it: int(np.count_nonzero(s))}
 
     for k in range(1, cfg.max_iter + 1):
         t_prev, s_prev = t, s
@@ -88,9 +92,10 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
             np.linalg.norm(t - t_prev) ** 2 + np.linalg.norm(s - s_prev) ** 2
         )
         ratio = numer / denom if denom >= _RATIO_FLOOR else None
-        trace.append(IterationRecord(k, residual, objective, alpha, d, ratio))
+        trace.append(IterationRecord(k, residual, objective, alpha, d, ratio,
+                                     rank=shrunk.size))
         if iter_callback is not None:
-            iter_callback(k, u, v, s, dual)
+            Iterate(trace[-1], u, v, forms).pass_to(iter_callback)
         if k > 1 and ratio is not None and ratio < cfg.tol:
             termination = "converged"
             break

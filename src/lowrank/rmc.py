@@ -30,8 +30,10 @@ its two products cost O(|Omega| d), and the loop allocates no m x n array.
 Above the cut, E is a dense m x n buffer, the loop's one m x n array, and its
 two products are m x n GEMMs of width d. The rest is O(|Omega|) elementwise
 work on vectors held in buffers allocated once, and no vector of length
-|Omega| is allocated in the loop; the dense product, sparse part and
-multiplier are formed only for ``iter_callback`` and for the result.
+|Omega| is allocated in the loop. The dense sparse part and multiplier are
+formed for the result, and for ``iter_callback`` only when its ``Iterate``
+view is read; a callback that reads neither leaves the run bit-identical to
+one without a callback.
 """
 
 import math
@@ -42,7 +44,7 @@ from scipy.sparse import csr_array
 # perfbench/tracing.py patches these names in this module, mask_project,
 # soft_threshold and nuclear_norm included, so they stay importable from it;
 # the solvers do not call those three.
-from .config import IterationRecord, SolveResult
+from .config import Iterate, IterationRecord, SolveResult
 from .linalg import check_matrix, qr_thin, svd_thin
 from .measurements import ObservationMask, mask_project  # noqa: F401
 from .prox import soft_threshold, svt  # noqa: F401
@@ -141,9 +143,8 @@ def _omega_matrix(mask, csr):
 
     Returns ``(values, load, low_rank)``: the caller writes E on Omega, in the
     mask's row-major order, into ``values``, and ``load()`` returns E and E^T
-    ready for products. ``low_rank(u, v, out, product=None)`` writes U V^T on
-    Omega into ``out``; given an m x n ``product``, it writes all of U V^T
-    there too.
+    ready for products. ``low_rank(u, v, out)`` writes U V^T on Omega into
+    ``out``.
 
     U V^T is evaluated by blocks of rows, one GEMM per block that holds Omega
     entries, into one buffer of about BLOCK_ENTRIES entries; the block bounds
@@ -163,18 +164,15 @@ def _omega_matrix(mask, csr):
     # flat index minus the flat index of its block's first entry
     local = flat - np.repeat(starts * n, np.diff(bounds))
     buffer = np.empty((min(rows, m), n))
-    # (rows, Omega span, block-local indices, buffer view) of each block
+    # (rows, Omega span, block-local indices, buffer view) of each block that
+    # holds Omega entries
     blocks = [(slice(r0, r1), slice(lo, hi), local[lo:hi], buffer[:r1 - r0])
               for r0, r1, lo, hi in zip(
                   starts.tolist(), np.minimum(starts + rows, m).tolist(),
-                  bounds[:-1].tolist(), bounds[1:].tolist())]
+                  bounds[:-1].tolist(), bounds[1:].tolist()) if lo < hi]
 
-    def low_rank(u, v, out, product=None):
+    def low_rank(u, v, out):
         for block_rows, span, indices, block in blocks:
-            if product is not None:
-                block = product[block_rows]
-            elif span.start == span.stop:
-                continue
             np.matmul(u[block_rows], v.T, out=block)
             # indices in range: mode="clip" lets take write out unbuffered
             np.take(block.reshape(-1), indices, out=out[span], mode="clip")
@@ -226,15 +224,16 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
       part of the objective. The step may overwrite ``scaled`` and uses
       ``work`` as scratch space, but when ``robust`` it leaves S on Omega in
       ``work``: it is what the callback and the result report. Otherwise the
-      callback receives the auxiliary matrix Z = L + (Z - L) in place of S,
-      and S is zero;
+      callback's ``Iterate.s`` is the auxiliary matrix Z = L + (Z - L) in
+      place of S, and S is zero;
     - ``stop(u, v, u_prev, v_prev)``: a stopping test besides the residual.
 
     The next iteration's E = P - L on Omega is (Z - L) + Y / alpha, formed
-    from ``gap``. The Omega vectors live in buffers allocated once, so without
-    ``iter_callback`` an iteration allocates none of length |Omega|, and its
-    one SVD is the one inside ``svt``, whose shrunk singular values give the
-    nuclear norm of V.
+    from ``gap``. The Omega vectors live in buffers allocated once, so an
+    iteration allocates none of length |Omega|, and its one SVD is the one
+    inside ``svt``, whose shrunk singular values give the nuclear norm of V
+    and the rank recorded. ``iter_callback`` receives an ``Iterate`` view
+    over these buffers, which forms the m x n S and Y only when read.
     """
     cfg.validate()
     data = mask.forward(d_obs)
@@ -262,6 +261,17 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     gap = data.copy()              # Z - U_prev V_prev^T on Omega; Z starts at D
     scaled = np.empty_like(data)   # Y / alpha
     work = np.zeros_like(data)     # S on Omega after a robust step
+
+    def dense_split(it):
+        # off Omega Z = U V^T, and for robust completion D = 0 and S = -U V^T
+        split = it.u @ it.v.T
+        if robust:
+            np.negative(split, out=split)
+        split.reshape(-1)[mask.flat_indices] = work if robust else low + gap
+        return split
+
+    forms = {"s": dense_split, "y": lambda it: mask.adjoint(y),
+             "support": lambda it: int(np.count_nonzero(work)) if robust else 0}
     adjusted = False
     trace = []
     termination = "max_iter_reached"
@@ -272,28 +282,23 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
         e, e_t = load()
         u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u, u_scheme)
         v, shrunk = svt(v_prev @ (u_prev.T @ u) + e_t @ u, lam / alpha)
-        # the dense U V^T, formed only for the callback, which keeps it
-        product = None if iter_callback is None else np.empty((m, n))
-        low_rank(u, v, low, product)
+        low_rank(u, v, low)
         data_term = step(data, low, y, scaled, alpha, gap, work)
         residual = float(np.linalg.norm(gap))
         objective = data_term + lam * float(shrunk.sum())
-        trace.append(IterationRecord(k, residual, objective, alpha, d))
+        trace.append(IterationRecord(k, residual, objective, alpha, d,
+                                     rank=shrunk.size))
         if iter_callback is not None:
-            if robust:   # off Omega D = 0 and Z = U V^T, so S = -U V^T there
-                split = np.subtract(0.0, product, out=product)
-                on_omega = work
-            else:
-                split, on_omega = product, low + gap
-            split.reshape(-1)[mask.flat_indices] = on_omega
-            iter_callback(k, u, v, split, mask.adjoint(y))
+            Iterate(trace[-1], u, v, forms).pass_to(iter_callback)
         if residual < threshold or (
                 stop is not None and stop(u, v, u_prev, v_prev)):
             termination = "converged"
             break
         alpha = min(cfg.rho * alpha, cfg.alpha_max)
         u_prev, v_prev = u, v
-        if cfg.adjust_rank and not adjusted and k >= RANK_ADJUST_START and d >= 2:
+        # not after the last iteration: the result is the iterate last recorded
+        if cfg.adjust_rank and not adjusted and \
+                RANK_ADJUST_START <= k < cfg.max_iter and d >= 2:
             new_d = adjust_rank_once(v, d)
             if new_d != d:
                 basis = _rank_truncation_basis(v, new_d)
@@ -312,10 +317,10 @@ def solve_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
 
     ``d_obs`` is the observed data; entries off the mask are ignored.
     ``u_scheme`` selects the QR or the SVD (polar) factor update; the two
-    produce identical products. ``iter_callback(k, u, v, s, y)`` is invoked
-    after each iteration's dual update, for diagnostics, with S and Y as
-    m x n matrices: off the mask S is the exact fill-in -U V^T and Y is zero.
-    The returned S is zero off the mask.
+    produce identical products. ``iter_callback(it)`` is invoked after each
+    iteration's dual update, for diagnostics, with an ``Iterate`` view whose
+    S and Y are m x n matrices, formed only when read: off the mask S is the
+    exact fill-in -U V^T and Y is zero. The returned S is zero off the mask.
     """
     def step(data, low, y, scaled, alpha, gap, work):
         # W = D - L + Y/alpha and C = clip(W, +-1/alpha): S = W - C is the
@@ -349,8 +354,9 @@ def solve_mc(d_obs, mask, cfg, iter_callback=None):
     The auxiliary matrix has a closed-form update: a convex blend of data and
     product on observed entries, the product minus the scaled multiplier off
     them. Stops on small relative change of the product or near-exact
-    feasibility of the auxiliary constraint. ``iter_callback(k, u, v, aux,
-    y)`` receives the auxiliary matrix in place of a sparse part.
+    feasibility of the auxiliary constraint. ``iter_callback(it)`` receives
+    an ``Iterate`` view whose ``s`` is the auxiliary matrix in place of a
+    sparse part.
     """
     def step(data, low, y, scaled, alpha, gap, work):
         # On Omega Z = (D + alpha L - Y) / (1 + alpha), so

@@ -44,7 +44,8 @@ def rmc_runs():
         cfg = SolverConfig(lam=np.sqrt(200.0), d=10)
         multiplier_traces = []
 
-        def watch(k, u, v, s, y, sink=multiplier_traces):
+        def watch(it, sink=multiplier_traces):
+            y = it.y
             sink.append((float(np.max(np.abs(y))),
                          float(np.max(np.abs(y[~prob.mask.marker])))
                          if (~prob.mask.marker).any() else 0.0))
@@ -73,8 +74,9 @@ def test_criterion_02_update_scheme_equivalence():
     for scheme in snaps:
         solve_rmc(
             prob.d_obs, prob.mask, cfg, u_scheme=scheme,
-            iter_callback=lambda k, u, v, s, y, key=scheme: snaps[key].append(
-                (u @ v.T, np.linalg.svd(v, compute_uv=False).sum(), s.copy())
+            iter_callback=lambda it, key=scheme: snaps[key].append(
+                (it.u @ it.v.T, np.linalg.svd(it.v, compute_uv=False).sum(),
+                 it.s.copy())
             ),
         )
     assert len(snaps["qr"]) == len(snaps["svd"]) == 20

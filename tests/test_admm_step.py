@@ -46,7 +46,7 @@ def assert_kkt(marker, s, y, where):
 
 def check_kkt(run, marker):
     snaps = []
-    res = run(lambda k, u, v, s, y: snaps.append((s.copy(), y.copy())))
+    res = run(lambda it: snaps.append((it.s.copy(), it.y.copy())))
     assert len(snaps) == res.iterations >= 10
     support = [assert_kkt(marker, s, y, f"iteration {k}")
                for k, (s, y) in enumerate(snaps, start=1)]

@@ -105,7 +105,8 @@ def collect(seed=7, iters=25):
               np.zeros(q.dim))]
     res = solve_cpcp(y, q, SolverConfig(lam=LAM, d=d, max_iter=iters,
                                         tol=1e-14),
-                     iter_callback=lambda k, *snap: snaps.append(snap))
+                     iter_callback=lambda it: snaps.append(
+                         (it.u, it.v, it.s, it.y)))
     assert len(snaps) == res.iterations + 1
     return q, y, res, snaps
 
@@ -116,7 +117,7 @@ class TestForwardReuse:
         counting = CountingOperator(q)
         calls = []
         res = solve_cpcp(y, counting, SolverConfig(lam=2.0, d=4, max_iter=20),
-                         iter_callback=lambda *snapshot: calls.append(
+                         iter_callback=lambda it: calls.append(
                              counting.forward_calls))
         assert calls == [1 + 2 * k for k in range(1, res.iterations + 1)]
 

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lowrank.config import IterationRecord, SolverConfig
+from lowrank.config import Iterate, IterationRecord, SolverConfig
 from lowrank.datasets import generate_planted
 from lowrank.measurements import ObservationMask
 from lowrank.metrics import auc, relative_error
@@ -80,7 +80,8 @@ def dense_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
         objective = float(np.abs(s[marker]).sum()) + lam * nuclear_norm(v)
         trace.append(IterationRecord(k, residual, objective, alpha, d))
         if iter_callback is not None:
-            iter_callback(k, u, v, s, y)
+            Iterate(trace[-1], u, v, {"s": lambda it: s, "y": lambda it: y}
+                    ).pass_to(iter_callback)
         if residual < threshold:
             break
         alpha = min(cfg.rho * alpha, cfg.alpha_max)
@@ -115,7 +116,8 @@ def dense_mc(d_obs, mask, cfg, iter_callback=None):
         ) + lam * nuclear_norm(v)
         trace.append(IterationRecord(k, residual, objective, alpha, d))
         if iter_callback is not None:
-            iter_callback(k, u, v, aux, y)
+            Iterate(trace[-1], u, v, {"s": lambda it: aux, "y": lambda it: y}
+                    ).pass_to(iter_callback)
         change = float(np.linalg.norm(low_rank - prev_low_rank))
         base = float(np.linalg.norm(prev_low_rank))
         if (base > 0 and change < cfg.tol * base) or residual < threshold:
@@ -128,8 +130,8 @@ def dense_mc(d_obs, mask, cfg, iter_callback=None):
 def _snapshots():
     snaps = []
 
-    def grab(k, u, v, split, y):
-        snaps.append((u @ v.T, split.copy(), y.copy()))
+    def grab(it):
+        snaps.append((it.u @ it.v.T, it.s.copy(), it.y.copy()))
 
     return snaps, grab
 
@@ -284,7 +286,7 @@ def test_rmc_outcome_matches_dense_loop_above_true_rank():
         dense = {}
         dense_trace = dense_rmc(
             p.d_obs, p.mask, cfg,
-            iter_callback=lambda k, u, v, s, y: dense.update(low=u @ v.T, s=s))
+            iter_callback=lambda it: dense.update(low=it.u @ it.v.T, s=it.s))
         res = solve_rmc(p.d_obs, p.mask, cfg)
         obs = p.mask.marker
         assert res.termination == "converged"
@@ -356,7 +358,7 @@ def test_rank_adjustment_outcome_matches_dense_loop():
         dense = {}
         dense_trace = dense_rmc(
             p.d_obs, p.mask, cfg,
-            iter_callback=lambda k, u, v, s, y: dense.update(low=u @ v.T))
+            iter_callback=lambda it: dense.update(low=it.u @ it.v.T))
         res = solve_rmc(p.d_obs, p.mask, cfg)
         assert res.termination == "converged"
         assert res.trace[-1].d == dense_trace[-1].d == 3
@@ -373,7 +375,7 @@ def test_mc_outcome_matches_dense_loop_above_true_rank():
         dense = {}
         dense_trace = dense_mc(
             l0, mask, cfg,
-            iter_callback=lambda k, u, v, aux, y: dense.update(low=u @ v.T))
+            iter_callback=lambda it: dense.update(low=it.u @ it.v.T))
         res = solve_mc(l0, mask, cfg)
         assert res.termination == "converged"
         assert relative_error(res.low_rank(), l0) <= 1e-2
@@ -450,15 +452,9 @@ def test_csr_products_match_dense_buffer(name):
         for got, want in ((s @ v, e @ v), (s_t @ u, e_t @ u)):
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        # L = U V^T on Omega, alone and with the whole product
-        full = u @ v.T
-        want = full.reshape(-1)[flat]
+        # L = U V^T on Omega
+        want = (u @ v.T).reshape(-1)[flat]
         for low_rank in (dense_low_rank, csr_low_rank):
-            for product in (None, np.full((m, n), np.nan)):
-                got = np.full(flat.size, np.nan)
-                low_rank(u, v, got, product)
-                assert np.linalg.norm(got - want) <= \
-                    1e-12 * np.linalg.norm(want)
-                if product is not None:
-                    assert np.linalg.norm(product - full) <= \
-                        1e-12 * np.linalg.norm(full)
+            got = np.full(flat.size, np.nan)
+            low_rank(u, v, got)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

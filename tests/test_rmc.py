@@ -41,14 +41,15 @@ class TestSolveRmc:
         p = planted(seed=3)
         seen = []
         solve_rmc(p.d_obs, p.mask, SolverConfig(d=6),
-                  iter_callback=lambda k, u, v, s, y: seen.append(y.copy()))
+                  iter_callback=lambda it: seen.append(it.y.copy()))
         for y in seen:
             assert np.max(np.abs(y)) <= 1.0 + 1e-6
             assert np.all(y[~p.mask.marker] == 0)
 
     def test_factor_orthonormal_every_iteration(self):
         p = planted(seed=4)
-        def check(k, u, v, s, y):
+        def check(it):
+            u = it.u
             assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-8
         solve_rmc(p.d_obs, p.mask, SolverConfig(d=6), iter_callback=check)
 
@@ -68,10 +69,10 @@ class TestSolveRmc:
         off = ~p.mask.marker
         seen = []
 
-        def check(k, u, v, s, y):
-            expected = (p.d_obs - u @ v.T)[off]
-            np.testing.assert_allclose(s[off], expected, atol=1e-12)
-            seen.append(k)
+        def check(it):
+            expected = (p.d_obs - it.u @ it.v.T)[off]
+            np.testing.assert_allclose(it.s[off], expected, atol=1e-12)
+            seen.append(it.record.iteration)
 
         res = solve_rmc(p.d_obs, p.mask, SolverConfig(d=4, alpha0=1.0),
                         iter_callback=check)
@@ -128,10 +129,10 @@ class TestSchemeEquivalence:
         for scheme in snaps:
             solve_rmc(
                 p.d_obs, p.mask, cfg, u_scheme=scheme,
-                iter_callback=lambda k, u, v, s, y, key=scheme: snaps[key].append(
-                    (u @ v.T,
-                     np.linalg.svd(v, compute_uv=False).sum(),
-                     s.copy(), y.copy())
+                iter_callback=lambda it, key=scheme: snaps[key].append(
+                    (it.u @ it.v.T,
+                     np.linalg.svd(it.v, compute_uv=False).sum(),
+                     it.s.copy(), it.y.copy())
                 ),
             )
         for (t1, nuc1, s1, y1), (t2, nuc2, s2, y2) in zip(*snaps.values()):

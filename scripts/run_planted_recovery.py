@@ -4,7 +4,9 @@
 For each seed a rank-r matrix is corrupted with sign spikes, partially
 observed, and solved; the table lists the relative recovery error of the
 low-rank part and the AUC of the sparse magnitudes against the planted
-spike support (the analogue of scoring corrupted-pixel detection).
+spike support (the analogue of scoring corrupted-pixel detection), the
+time per iteration, and the number of opening iterations whose thresholded
+factor V is zero (rank 0), which skip the factor update.
 """
 
 import argparse
@@ -34,7 +36,8 @@ def main(argv=None):
 
     lam = float(np.sqrt(max(args.rows, args.cols)))
     print(f"lambda = {lam:.4f}, factor rank bound d = {args.d}")
-    print(f"{'seed':>4} {'iters':>6} {'relerr':>10} {'auc':>7} {'time':>7}")
+    print(f"{'seed':>4} {'iters':>6} {'relerr':>10} {'auc':>7} {'time':>7} "
+          f"{'ms/iter':>8} {'rank0':>6}")
     for seed in range(1, args.seeds + 1):
         prob = generate_planted(
             args.rows, args.cols, args.rank,
@@ -47,8 +50,11 @@ def main(argv=None):
         err = relative_error(res.low_rank(), prob.l0)
         score = auc(np.abs(prob.mask.forward(res.s)),
                     prob.mask.forward(prob.s0) != 0)
+        ranks = [rec.rank for rec in res.trace]
+        warm_up = next((k for k, rank in enumerate(ranks) if rank), len(ranks))
         print(f"{seed:>4} {res.iterations:>6} {err:>10.3e} "
-              f"{score:>7.4f} {elapsed:>6.2f}s")
+              f"{score:>7.4f} {elapsed:>6.2f}s "
+              f"{1e3 * elapsed / res.iterations:>8.2f} {warm_up:>6}")
 
 
 if __name__ == "__main__":

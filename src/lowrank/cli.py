@@ -218,8 +218,11 @@ def cmd_solve(args):
                     f"subspace dimension {p} out of range [1, {size}]")
             if y_meas.size != p:
                 raise ValueError(f"{y_meas.size} measurements != dimension {p}")
-        elif mask is not None and mask.shape != shape:
-            raise ValueError(f"mask shape {mask.shape} != data {shape}")
+        elif mask is not None:
+            if mask.shape != shape:
+                raise ValueError(f"mask shape {mask.shape} != data {shape}")
+            if mask.dim == 0:
+                raise ValueError("observation mask is empty")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

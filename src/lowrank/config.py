@@ -44,6 +44,12 @@ class SolverConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.lam != "auto" and self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.rho <= 0:
+            raise ValueError(f"rho must be positive, got {self.rho}")
+        if self.alpha_max <= 0:
+            raise ValueError(f"alpha_max must be positive, got {self.alpha_max}")
         if self.alpha0 != "auto":
             if self.alpha0 <= 0:
                 raise ValueError(f"alpha0 must be positive, got {self.alpha0}")

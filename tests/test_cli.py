@@ -205,6 +205,44 @@ class TestSolveCommands:
             capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+        ("--rho", "0", "rho must be positive, got 0.0"),
+        ("--alpha-max", "0", "alpha_max must be positive, got 0.0"),
+        ("--alpha-max", "-1", "alpha_max must be positive, got -1.0"),
+    ])
+    def test_invalid_schedule_rejected_before_solve(self, tmp_path, capsys,
+                                                    monkeypatch, flag, value,
+                                                    message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(cli, "solve_rmc", no_solve)
+        truth = synth(tmp_path, rows=20, cols=20, rank=2, obs=0.8)
+        code = run("rmc", "--data", str(truth / "d_obs.txt"),
+                   "--mask", str(truth / "mask.txt"), flag, value,
+                   "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("command", ["rmc", "mc"])
+    def test_empty_mask_is_invalid_input(self, tmp_path, capsys, monkeypatch,
+                                         command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(cli, f"solve_{command}", no_solve)
+        truth = synth(tmp_path, rows=20, cols=15, rank=2, obs=0.8)
+        mask = tmp_path / "empty_mask.txt"
+        mask.write_text((truth / "mask.txt").read_text().splitlines()[0] + "\n")
+        code = run(command, "--data", str(truth / "d_obs.txt"),
+                   "--mask", str(mask), "--rank", "2",
+                   "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert "observation mask is empty" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
     @pytest.mark.parametrize("dim, entries, message", [
         (0, 10, "subspace dimension 0 out of range [1, 25]"),
         (26, 26, "subspace dimension 26 out of range [1, 25]"),

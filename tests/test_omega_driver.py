@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lowrank.rmc as rmc
 from lowrank.config import Iterate, IterationRecord, SolverConfig
 from lowrank.datasets import generate_planted
 from lowrank.measurements import ObservationMask
@@ -458,3 +459,111 @@ def test_csr_products_match_dense_buffer(name):
             got = np.full(flat.size, np.nan)
             low_rank(u, v, got)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# While V = 0 the driver skips the factor update and L = U V^T on Omega, and
+# while U is still the start factor np.eye(m, d) it reads E^T U off the first
+# d rows of Omega. Both shortcuts must give what the products give.
+
+D_START = 6
+
+
+def _warm_up_masks():
+    rng = np.random.default_rng(7)
+    # n columns of BLOCK_ENTRIES // 4 make blocks of 4 rows, so the first
+    # D_START rows span two row blocks
+    wide = (12, BLOCK_ENTRIES // 4)
+    masks = {
+        "csr, first rows empty": rng.random((40, 30)) < 0.15,
+        "dense, first rows empty": rng.random((40, 30)) < 0.6,
+        "csr, first d rows empty": rng.random((40, 30)) < 0.15,
+        "csr, two row blocks": rng.random(wide) < 0.1,
+        "dense, two row blocks": rng.random(wide) < 0.5,
+    }
+    for name, marker in masks.items():
+        if "first rows empty" in name:
+            marker[:2] = False
+        if "first d rows empty" in name:
+            marker[:D_START] = False
+    return masks
+
+
+@pytest.mark.parametrize("name", sorted(_warm_up_masks()))
+def test_start_factor_product_equals_dense_product(name, monkeypatch):
+    marker = _warm_up_masks()[name]
+    m, n = marker.shape
+    mask = ObservationMask(marker)
+    assert_path(mask, name.startswith("csr"))
+    rng = np.random.default_rng(2)
+    d_obs = rng.standard_normal((m, 2)) @ rng.standard_normal((n, 2)).T
+    layout = {}
+    real_omega_matrix, real_svt = rmc._omega_matrix, rmc.svt
+
+    def omega_matrix(mask, csr):
+        values, layout["load"], low_rank = real_omega_matrix(mask, csr)
+        return values, layout["load"], low_rank
+
+    ranks, checked = [], []
+
+    def checked_svt(a, mu):
+        if not any(ranks):   # every V so far is 0: U is the start factor
+            # the values on rows below the first d are stale, but they meet
+            # zeros of the start factor
+            _, e_t = layout["load"]()
+            assert np.array_equal(a, e_t @ np.eye(m, D_START)), len(ranks)
+            checked.append(len(ranks))
+        out = real_svt(a, mu)
+        ranks.append(out[1].size)
+        return out
+
+    monkeypatch.setattr(rmc, "_omega_matrix", omega_matrix)
+    monkeypatch.setattr(rmc, "svt", checked_svt)
+    res = solve_rmc(d_obs, mask, SolverConfig(lam=3.0, d=D_START, max_iter=12))
+    assert len(checked) >= 3, checked
+    if "first d rows empty" in name:
+        assert len(checked) == res.iterations and not any(ranks)
+
+
+def _count_factor_updates(monkeypatch):
+    calls = []
+    real = rmc.orthonormal_factor
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rmc, "orthonormal_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["rmc", "mc"])
+@pytest.mark.parametrize("obs_frac", [DENSE_OBS, CSR_OBS])
+def test_factor_update_runs_only_after_nonzero_v(solver, obs_frac,
+                                                  monkeypatch):
+    p = small_instance(INSTANCES[0], spike_frac=0.1 if solver == "rmc" else 0.0,
+                       obs_frac=obs_frac)
+    assert_path(p.mask, obs_frac == CSR_OBS)
+    calls = _count_factor_updates(monkeypatch)
+    if solver == "rmc":
+        res = solve_rmc(p.d_obs, p.mask,
+                        SolverConfig(lam=0.7 * np.sqrt(60 * obs_frac), d=4))
+    else:
+        res = solve_mc(p.d_obs, p.mask,
+                       SolverConfig(lam=1.0, d=4, tol=1e-6, max_iter=400))
+    after_nonzero_v = sum(prev.rank > 0 for prev in res.trace[:-1])
+    assert res.trace[0].rank == 0, "no iteration runs with V = 0"
+    assert 0 < after_nonzero_v < res.iterations - 1
+    assert len(calls) == after_nonzero_v
+    assert res.termination == "converged"
+    assert np.linalg.norm(res.low_rank()) > 0
+
+
+@pytest.mark.parametrize("solver", [solve_rmc, solve_mc])
+def test_factor_update_never_runs_while_rank_stays_zero(solver, monkeypatch):
+    p = small_instance(INSTANCES[1], shape=(12, 10))
+    calls = _count_factor_updates(monkeypatch)
+    res = solver(p.d_obs, p.mask, SolverConfig(lam=1e6, d=3, max_iter=20))
+    assert res.iterations == 20
+    assert all(rec.rank == 0 for rec in res.trace)
+    assert calls == []
+    assert np.array_equal(res.u, np.eye(12, 3)) and not np.any(res.v)

@@ -193,5 +193,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="alpha_max"):
             SolverConfig(d=2, alpha0=5.0, alpha_max=1.0).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iter", 0), ("max_iter", -3), ("rho", 0.0), ("rho", -1.1),
+        ("alpha_max", 0.0), ("alpha_max", -1.0),
+    ])
+    def test_schedule_out_of_range_rejected(self, field, value):
+        # alpha0 stays "auto", so alpha_max is checked without a numeric start
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(d=2, **{field: value}).validate()
+
+    def test_rho_below_one_still_only_warns(self):
+        with pytest.warns(UserWarning, match="rho"):
+            SolverConfig(d=2, rho=0.9).validate()
+
     def test_auto_lambda(self):
         assert SolverConfig().resolve_lambda(100, 50) == pytest.approx(10.0)

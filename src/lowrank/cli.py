@@ -9,7 +9,6 @@ inputs, 3 solver hit the iteration cap (outputs are still written).
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 import warnings
@@ -28,29 +27,38 @@ from .measurements import draw_random_subspace, load_mask, save_mask
 from .metrics import auc, relative_error, rmse
 from .rmc import solve_mc, solve_rmc, solve_rpca
 
-# Flag name -> SolverConfig's default; the --rank flag sets field d, and
-# max_iter is chosen per solver.
-SOLVER_DEFAULTS = {
-    "rank" if f.name == "d" else f.name: f.default
-    for f in dataclasses.fields(SolverConfig)
-} | {"max_iter": None}
-
 
 def _auto_or_float(text):
     return text if text == "auto" else float(text)
 
 
+def _true_or_false(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+# Solver flag -> its --config key, which names the SolverConfig field (rank
+# sets d), and the parser of the key's text. --adjust-rank takes no value.
+SOLVER_SETTINGS = {
+    "--lambda": ("lam", _auto_or_float),
+    "--rank": ("rank", int),
+    "--rho": ("rho", float),
+    "--alpha0": ("alpha0", _auto_or_float),
+    "--alpha-max": ("alpha_max", float),
+    "--tol": ("tol", float),
+    "--max-iter": ("max_iter", int),
+    "--adjust-rank": ("adjust_rank", _true_or_false),
+}
+
+
 def _add_solver_flags(sub):
-    # Defaults are None sentinels so a config file can fill unset flags.
-    sub.add_argument("--lambda", dest="lam", type=_auto_or_float, default=None)
-    sub.add_argument("--rank", type=int, default=None)
-    sub.add_argument("--rho", type=float, default=None)
-    sub.add_argument("--alpha0", type=_auto_or_float, default=None)
-    sub.add_argument("--alpha-max", dest="alpha_max", type=float, default=None)
-    sub.add_argument("--tol", type=float, default=None)
-    sub.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    sub.add_argument("--adjust-rank", dest="adjust_rank", action="store_const",
-                     const=True, default=None)
+    # An unset flag is None, so a config file or SolverConfig can fill it.
+    for flag, (key, parse) in SOLVER_SETTINGS.items():
+        if parse is _true_or_false:
+            sub.add_argument(flag, dest=key, action="store_const", const=True)
+        else:
+            sub.add_argument(flag, dest=key, type=parse)
     sub.add_argument("--config", default=None,
                      help="key=value file; explicit flags win")
     sub.add_argument("--out-dir", required=True)
@@ -113,46 +121,27 @@ def _read_config_file(path):
     return values
 
 
-# Solver flag (and config file key) -> how its text is read.
-SOLVER_CASTS = {
-    "lam": _auto_or_float,
-    "rank": int,
-    "rho": float,
-    "alpha0": _auto_or_float,
-    "alpha_max": float,
-    "tol": float,
-    "max_iter": int,
-    "adjust_rank": bool,
-}
-
-
 def _build_solver_config(args, default_max_iter):
     file_values = {}
     if args.config is not None:
         file_values = _read_config_file(args.config)
-        unknown = sorted(set(file_values) - set(SOLVER_CASTS))
+        keys = [key for key, _ in SOLVER_SETTINGS.values()]
+        unknown = sorted(set(file_values) - set(keys))
         if unknown:
             raise ValueError(f"{args.config}: unknown key {unknown[0]!r}; "
-                             f"expected one of {', '.join(SOLVER_CASTS)}")
-
-    def pick(name):
-        cast = SOLVER_CASTS[name]
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            raw = file_values[name]
-            if cast is bool:
-                if raw.lower() not in ("true", "false"):
-                    raise ValueError(f"{name} must be true or false, got {raw!r}")
-                return raw.lower() == "true"
-            return cast(raw)
-        default = SOLVER_DEFAULTS[name]
-        return default_max_iter if name == "max_iter" else default
-
-    picked = {name: pick(name) for name in SOLVER_CASTS}
-    picked["d"] = picked.pop("rank")
-    return SolverConfig(**picked)
+                             f"expected one of {', '.join(keys)}")
+    # Settings given neither way take SolverConfig's defaults.
+    settings = {"max_iter": default_max_iter}
+    for key, parse in SOLVER_SETTINGS.values():
+        value = getattr(args, key)
+        if value is None and key in file_values:
+            try:
+                value = parse(file_values[key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from None
+        if value is not None:
+            settings["d" if key == "rank" else key] = value
+    return SolverConfig(**settings)
 
 
 def _write_result(out_dir, result, include_ratio=False):

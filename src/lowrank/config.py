@@ -38,22 +38,24 @@ class SolverConfig:
     seed: int = 0
 
     def validate(self):
-        if self.d < 1:
+        # Each test is written so that NaN, which fails every comparison,
+        # fails it too.
+        if not self.d >= 1:
             raise ValueError(f"rank bound d must be >= 1, got {self.d}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.lam != "auto" and self.lam < 0:
+        if self.lam != "auto" and not self.lam >= 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.alpha_max <= 0:
+        if not self.alpha_max > 0:
             raise ValueError(f"alpha_max must be positive, got {self.alpha_max}")
         if self.alpha0 != "auto":
-            if self.alpha0 <= 0:
+            if not self.alpha0 > 0:
                 raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
-            if self.alpha_max < self.alpha0:
+            if not self.alpha_max >= self.alpha0:
                 raise ValueError(
                     f"alpha_max {self.alpha_max} < alpha0 {self.alpha0}"
                 )

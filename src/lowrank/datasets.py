@@ -64,6 +64,8 @@ def generate_planted(m, n, r, spike_frac, magnitude=1.0, obs_frac=1.0, seed=0):
         raise ValueError(f"spike fraction {spike_frac} outside [0, 1]")
     if not 0.0 <= obs_frac <= 1.0:
         raise ValueError(f"observation fraction {obs_frac} outside [0, 1]")
+    if not math.isfinite(magnitude):
+        raise ValueError(f"spike magnitude {magnitude} is not finite")
     rng = np.random.default_rng(seed)
     while True:
         left = rng.standard_normal((m, r))

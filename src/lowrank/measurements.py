@@ -3,9 +3,9 @@
 ``ObservationMask`` and ``SubspaceOperator`` are linear measurement operators
 with four members: ``shape``, the (m, n) of the matrices measured; ``dim``,
 the number p of coefficients; ``forward(a)``, an m x n matrix to its p
-coefficients, raising ``ValueError`` on another shape or a non-finite entry;
-and ``adjoint(y)``, p coefficients back to an m x n matrix, raising
-``ValueError`` on another length. Both have orthonormal rows, so
+coefficients, raising ``ValueError`` on another shape or a non-finite
+measured entry; and ``adjoint(y)``, p coefficients back to an m x n matrix,
+raising ``ValueError`` on another length. Both have orthonormal rows, so
 ``forward(adjoint(y))`` is ``y`` and ``adjoint(forward(a))`` projects ``a``
 onto the measured subspace. A mask's coefficients are its observed entries
 in row-major order: ``forward`` gathers them, ``adjoint`` scatters them into
@@ -19,8 +19,8 @@ import numpy as np
 from .linalg import check_matrix, qr_thin
 
 
-def _check_shape(a, shape, name):
-    a = check_matrix(a, name)
+def _check_shape(a, shape):
+    a = np.asarray(a, dtype=np.float64)
     if a.shape != shape:
         raise ValueError(f"shape mismatch: matrix {a.shape} vs operator {shape}")
     return a
@@ -93,9 +93,12 @@ class ObservationMask:
         return self.flat_indices.size
 
     def forward(self, a):
-        """The observed entries of ``a`` in row-major order."""
-        a = _check_shape(a, self.shape, "mask forward input")
-        return a.reshape(-1)[self.flat_indices]
+        """The observed entries of ``a`` in row-major order; the entries off
+        the mask are not read, so they may be NaN or infinite."""
+        values = _check_shape(a, self.shape).reshape(-1)[self.flat_indices]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("mask forward input has a non-finite measured entry")
+        return values
 
     def adjoint(self, y):
         """The m x n matrix holding ``y`` on the mask and zero off it."""
@@ -175,7 +178,7 @@ class SubspaceOperator:
         return self.basis.shape[0]
 
     def forward(self, a):
-        a = _check_shape(a, self.shape, "subspace forward input")
+        a = _check_shape(check_matrix(a, "subspace forward input"), self.shape)
         return self.basis @ a.ravel()
 
     def adjoint(self, y):

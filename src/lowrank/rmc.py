@@ -40,10 +40,10 @@ lambda / alpha falls below the top singular value of E^T U: on the
 benchmark's workloads for 9% (MC) to 54% (RMC, 70% observed) of a solve's
 iterations. While V = 0, P V and L are zero, so the factor update, its two
 products and the evaluation of L are skipped, and U stays the start factor
-np.eye(m, d). While U is the start factor, E^T U is the first d rows of E,
-transposed, scattered from the Omega entries of those rows, and E is formed
-on those entries alone. Such an iteration costs O(|Omega|) elementwise work
-plus the SVD of an n x d matrix, with the same result bit for bit.
+np.eye(m, d), so E^T U is the first d rows of E, transposed, scattered from
+the Omega entries of those rows, and E is formed on those entries alone.
+Such an iteration costs O(|Omega|) elementwise work plus the SVD of an n x d
+matrix, with the same result bit for bit.
 """
 
 import math
@@ -243,8 +243,8 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     The next iteration's E = P - L on Omega is (Z - L) + Y / alpha, formed
     from ``gap``. While V = 0 (``rank``, the size of ``svt``'s shrunk values,
     is 0) the factor update and the evaluation of L are skipped, and while U
-    is the start factor E^T U is read off the Omega entries of E's first d
-    rows, the only entries of E formed then: such an iteration costs
+    is also the start factor E^T U is read off the Omega entries of E's first
+    d rows, the only entries of E formed then: such an iteration costs
     O(|Omega|) and one n x d SVD, not O(|Omega| d) or mn d products. The
     Omega vectors live in buffers allocated once, so an iteration allocates
     none of length |Omega|, and its one SVD is the one inside ``svt``, whose
@@ -306,16 +306,14 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
         if rank or u is not start:
             np.add(gap, scaled, out=values)
             e, e_t = load()
+            if rank:
+                u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u,
+                                       u_scheme)
+            e_t_u = e_t @ u
         else:
             np.add(gap[:head], scaled[:head], out=values[:head])
-        if rank:
-            u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u,
-                                   u_scheme)
-        if u is start:
             e_t_u = np.zeros((n, d))
             e_t_u.reshape(-1)[spots] = values[:head]
-        else:
-            e_t_u = e_t @ u
         v, shrunk = svt(v_prev @ (u_prev.T @ u) + e_t_u, lam / alpha)
         rank = shrunk.size
         if rank:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from lowrank import cli
 from lowrank.cli import main
+from lowrank.config import SolverConfig
 from lowrank.datasets import load_matrix, save_matrix
+from lowrank.measurements import load_mask
 
 
 def run(*argv):
@@ -46,6 +49,15 @@ class TestSynth:
         code = run("synth", "--rows", "5", "--cols", "5",
                    "--out-dir", str(tmp_path / "x"))
         assert code == 2
+
+    @pytest.mark.parametrize("magnitude", ["nan", "inf"])
+    def test_non_finite_magnitude_rejected(self, tmp_path, capsys, magnitude):
+        code = run("synth", "--rows", "5", "--cols", "5", "--rank", "2",
+                   "--spike-frac", "0.1", "--magnitude", magnitude,
+                   "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert "magnitude" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_rank_value(self, tmp_path, capsys):
         code = run("synth", "--rows", "5", "--cols", "5", "--rank", "9",
@@ -210,6 +222,11 @@ class TestSolveCommands:
         ("--rho", "0", "rho must be positive, got 0.0"),
         ("--alpha-max", "0", "alpha_max must be positive, got 0.0"),
         ("--alpha-max", "-1", "alpha_max must be positive, got -1.0"),
+        ("--lambda", "nan", "lambda must be nonnegative, got nan"),
+        ("--rho", "nan", "rho must be positive, got nan"),
+        ("--alpha0", "nan", "alpha0 must be positive, got nan"),
+        ("--alpha-max", "nan", "alpha_max must be positive, got nan"),
+        ("--tol", "nan", "tol must be positive, got nan"),
     ])
     def test_invalid_schedule_rejected_before_solve(self, tmp_path, capsys,
                                                     monkeypatch, flag, value,
@@ -301,6 +318,21 @@ class TestSolveCommands:
         assert repr(line.split()[0]) in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
+    def test_data_off_mask_may_be_nan(self, tmp_path, capsys):
+        truth = synth(tmp_path, rows=20, cols=15, rank=2, obs=0.7)
+        marked = load_matrix(truth / "d_obs.txt")
+        off = ~load_mask(truth / "mask.txt").marker
+        marked[off] = np.resize([np.nan, np.inf, -np.inf], off.sum())
+        save_matrix(tmp_path / "marked.txt", marked)
+        for data, est in (("d_obs.txt", "a"), ("../marked.txt", "b")):
+            code = run("rmc", "--data", str(truth / data),
+                       "--mask", str(truth / "mask.txt"), "--rank", "3",
+                       "--out-dir", str(tmp_path / est))
+            assert code == 0
+        for name in ("U.txt", "V.txt", "S.txt", "trace.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code = run("rpca", "--data", str(tmp_path / "nope.txt"),
                    "--out-dir", str(tmp_path / "est"))
@@ -327,6 +359,123 @@ class TestSolveCommands:
         assert u.shape == (12, 4) and v.shape == (12, 4)
         header = (est / "trace.csv").read_text().splitlines()[0]
         assert "stop_ratio" in header
+
+
+class Captured(Exception):
+    """Raised in place of a solve, carrying the SolverConfig it was given."""
+
+
+def capture_config(monkeypatch, tmp_path, command, *flags, config=None):
+    """The SolverConfig that ``lowrank COMMAND`` builds from the flags and
+    the ``--config`` text, on a 20 x 20 instance."""
+    def capture(*args):
+        raise Captured(args[-1])
+
+    monkeypatch.setattr(cli, f"solve_{command}", capture)
+    monkeypatch.setattr(cli, "draw_random_subspace", lambda *args: None)
+    truth = tmp_path / "truth"
+    if not truth.exists():
+        synth(tmp_path, rows=20, cols=20, rank=2, obs=0.8)
+        save_matrix(tmp_path / "y.txt", np.ones((10, 1)))
+    if command == "cpcp":
+        inputs = ["--measurements", str(tmp_path / "y.txt"), "--rows", "20",
+                  "--cols", "20", "--subspace-seed", "1",
+                  "--subspace-dim", "10"]
+    else:
+        inputs = ["--data", str(truth / "d_obs.txt")]
+        if command != "rpca":
+            inputs += ["--mask", str(truth / "mask.txt")]
+    if config is not None:
+        (tmp_path / "solver.cfg").write_text(config)
+        inputs += ["--config", str(tmp_path / "solver.cfg")]
+    with pytest.raises(Captured) as info:
+        run(command, *inputs, *flags, "--out-dir", str(tmp_path / "est"))
+    return info.value.args[0]
+
+
+# Each solver flag, its --config key and a value unlike SolverConfig's
+# default; --adjust-rank takes no value.
+SOLVER_FLAGS = [
+    ("--lambda", "lam", "0.5"),
+    ("--rank", "rank", "3"),
+    ("--rho", "rho", "1.05"),
+    ("--alpha0", "alpha0", "0.5"),
+    ("--alpha-max", "alpha_max", "1e6"),
+    ("--tol", "tol", "1e-3"),
+    ("--max-iter", "max_iter", "7"),
+    ("--adjust-rank", "adjust_rank", None),
+]
+
+
+class TestSolverSettings:
+    @pytest.mark.parametrize("command, max_iter", [
+        ("rmc", 500), ("mc", 500), ("rpca", 500), ("cpcp", 1000),
+    ])
+    def test_unset_settings_take_solver_config_defaults(
+            self, tmp_path, monkeypatch, command, max_iter):
+        cfg = capture_config(monkeypatch, tmp_path, command)
+        assert cfg == SolverConfig(max_iter=max_iter)
+
+    def test_each_field_has_one_flag_and_one_key(self, tmp_path, monkeypatch):
+        base = dataclasses.asdict(capture_config(monkeypatch, tmp_path, "rpca"))
+
+        def changed(cfg):
+            return [name for name, value in dataclasses.asdict(cfg).items()
+                    if value != base[name]]
+
+        reached = []
+        for flag, key, value in SOLVER_FLAGS:
+            by_flag = capture_config(monkeypatch, tmp_path, "rpca", flag,
+                                     *([] if value is None else [value]))
+            by_key = capture_config(monkeypatch, tmp_path, "rpca",
+                                    config=f"{key} = {value or 'true'}\n")
+            assert changed(by_flag) == changed(by_key)
+            assert len(changed(by_flag)) == 1
+            reached += changed(by_flag)
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert sorted(reached) == sorted(set(fields) - {"seed"})
+
+    def test_bad_key_value_names_file_and_key(self, tmp_path, capsys):
+        truth = synth(tmp_path, rows=20, cols=20, rank=2)
+        config = tmp_path / "solver.cfg"
+        config.write_text("rank = 4.5\n")
+        code = run("rpca", "--data", str(truth / "d_obs.txt"),
+                   "--config", str(config), "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert f"{config}: rank: " in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+    def test_key_overridden_by_flag_is_not_parsed(self, tmp_path, capsys):
+        truth = synth(tmp_path, rows=20, cols=20, rank=2)
+        config = tmp_path / "solver.cfg"
+        config.write_text("rank = x\n")
+        code = run("rpca", "--data", str(truth / "d_obs.txt"), "--rank", "3",
+                   "--config", str(config), "--out-dir", str(tmp_path / "est"))
+        assert code == 0
+        assert load_matrix(tmp_path / "est" / "U.txt").shape == (20, 3)
+
+    @pytest.mark.parametrize("key, message", [
+        ("lam", "lambda must be nonnegative, got nan"),
+        ("rho", "rho must be positive, got nan"),
+        ("alpha0", "alpha0 must be positive, got nan"),
+        ("alpha_max", "alpha_max must be positive, got nan"),
+        ("tol", "tol must be positive, got nan"),
+    ])
+    def test_nan_key_is_invalid_configuration(self, tmp_path, capsys,
+                                              monkeypatch, key, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(cli, "solve_rmc", no_solve)
+        truth = synth(tmp_path, rows=20, cols=20, rank=2, obs=0.8)
+        config = tmp_path / "solver.cfg"
+        config.write_text(f"{key} = nan\n")
+        code = run("rmc", "--data", str(truth / "d_obs.txt"),
+                   "--mask", str(truth / "mask.txt"), "--config", str(config),
+                   "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
 
 
 class TestEval:

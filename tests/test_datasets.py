@@ -70,6 +70,11 @@ class TestGeneratePlanted:
         with pytest.raises(ValueError, match="observation"):
             generate_planted(5, 5, 2, spike_frac=0.1, obs_frac=-0.1)
 
+    @pytest.mark.parametrize("magnitude", [np.nan, np.inf, -np.inf])
+    def test_non_finite_magnitude_rejected(self, magnitude):
+        with pytest.raises(ValueError, match="magnitude"):
+            generate_planted(5, 5, 2, spike_frac=0.0, magnitude=magnitude)
+
 
 class TestLoadRatings:
     def write(self, tmp_path, text):

@@ -121,6 +121,22 @@ class TestSolveRmc:
             solve_rmc(d, ObservationMask.full(3, 3), SolverConfig(d=2))
 
 
+class TestEntriesOffMask:
+    @pytest.mark.parametrize("solver", [solve_rmc, solve_mc])
+    def test_nonfinite_entries_off_mask_are_not_read(self, solver):
+        p = planted(m=40, n=30, r=2, obs_frac=0.7, seed=4)
+        cfg = SolverConfig(d=4, max_iter=60)
+        off = ~p.mask.marker
+        marked = p.d_obs.copy()   # zero off the mask
+        marked[off] = np.resize([np.nan, np.inf, -np.inf], off.sum())
+        base = solver(p.d_obs, p.mask, cfg)
+        res = solver(marked, p.mask, cfg)
+        for name in ("u", "v", "s", "y"):
+            np.testing.assert_array_equal(getattr(res, name),
+                                          getattr(base, name))
+        assert res.trace == base.trace
+
+
 class TestSchemeEquivalence:
     def test_qr_and_svd_updates_give_identical_iterates(self):
         p = planted(m=30, n=24, r=3, seed=10)
@@ -196,6 +212,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("max_iter", 0), ("max_iter", -3), ("rho", 0.0), ("rho", -1.1),
         ("alpha_max", 0.0), ("alpha_max", -1.0),
+        ("lam", np.nan), ("rho", np.nan), ("alpha0", np.nan),
+        ("alpha_max", np.nan), ("tol", np.nan),
     ])
     def test_schedule_out_of_range_rejected(self, field, value):
         # alpha0 stays "auto", so alpha_max is checked without a numeric start

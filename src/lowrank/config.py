@@ -39,22 +39,31 @@ class SolverConfig:
 
     def validate(self):
         # Each test is written so that NaN, which fails every comparison,
-        # fails it too.
+        # fails it too. tol, rho and a numeric alpha0 must also be finite:
+        # an infinite one ends the run at once labelled converged. An
+        # infinite lam (L = 0 is then the optimum) or alpha_max (no cap) is
+        # a legal setting.
         if not self.d >= 1:
             raise ValueError(f"rank bound d must be >= 1, got {self.d}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if self.lam != "auto" and not self.lam >= 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
+        if not math.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho}")
         if not self.alpha_max > 0:
             raise ValueError(f"alpha_max must be positive, got {self.alpha_max}")
         if self.alpha0 != "auto":
             if not self.alpha0 > 0:
                 raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
+            if not math.isfinite(self.alpha0):
+                raise ValueError(f"alpha0 must be finite, got {self.alpha0}")
             if not self.alpha_max >= self.alpha0:
                 raise ValueError(
                     f"alpha_max {self.alpha_max} < alpha0 {self.alpha0}"

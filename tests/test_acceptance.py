@@ -7,9 +7,11 @@ equivalence and oracle criteria compare independent computations of the
 same quantity.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +245,11 @@ def test_criterion_09_metric_oracles():
 
 
 def test_criterion_10_cli_determinism(tmp_path):
+    # The subprocesses import the checkout's package, as this process does.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
     def invoke(out_dir):
         synth_dir = out_dir / "truth"
         est_dir = out_dir / "est"
@@ -256,7 +263,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "lowrank.cli", *argv],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=env,
             )
             assert proc.returncode == 0, proc.stderr
         return {

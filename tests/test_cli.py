@@ -477,6 +477,35 @@ class TestSolverSettings:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"tol": "inf"}, "tol must be finite, got inf"),
+        ({"rho": "inf"}, "rho must be finite, got inf"),
+        ({"alpha0": "inf", "alpha_max": "inf"},
+         "alpha0 must be finite, got inf"),
+    ], ids=["tol", "rho", "alpha0"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_infinite_setting_is_invalid(self, tmp_path, capsys, monkeypatch,
+                                         settings, message, given):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(cli, "solve_rmc", no_solve)
+        truth = synth(tmp_path, rows=20, cols=20, rank=2, obs=0.8)
+        if given == "flag":
+            extra = [arg for key, value in settings.items()
+                     for arg in ("--" + key.replace("_", "-"), value)]
+        else:
+            config = tmp_path / "solver.cfg"
+            config.write_text("".join(f"{key} = {value}\n"
+                                      for key, value in settings.items()))
+            extra = ["--config", str(config)]
+        code = run("rmc", "--data", str(truth / "d_obs.txt"),
+                   "--mask", str(truth / "mask.txt"), *extra,
+                   "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
 
 class TestEval:
     def test_rmse_requires_test_file(self, tmp_path, capsys):

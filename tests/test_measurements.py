@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lowrank import measurements
 from lowrank.datasets import RatingDataset, generate_planted
+from lowrank.linalg import qr_thin
 from lowrank.measurements import (
     ObservationMask,
     draw_random_subspace,
@@ -300,6 +302,62 @@ class TestDrawRandomSubspace:
         assert np.sum(project(a) * b) == pytest.approx(
             np.sum(a * project(b)), abs=1e-8
         )
+
+
+class TestCholeskyQrDraw:
+    """The draw orthonormalizes its Gaussian G by Cholesky QR in G's memory."""
+
+    @pytest.mark.parametrize("m, n, p", [(12, 12, 100), (45, 45, 1518),
+                                         (3, 3, 9)])
+    def test_same_basis_as_householder_qr(self, m, n, p):
+        g = np.random.default_rng(4).standard_normal((m * n, p))
+        basis = draw_random_subspace(m, n, p, seed=4).basis
+        assert basis.flags.f_contiguous
+        assert np.max(np.abs(basis - qr_thin(g).q.T)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("frac", [0.1, 0.75, 0.95, 1.0])
+    def test_rows_orthonormal(self, frac, seed):
+        p = round(frac * 900)
+        basis = draw_random_subspace(30, 30, p, seed).basis
+        assert np.max(np.abs(basis @ basis.T - np.eye(p))) <= 1e-13
+
+    def test_ill_conditioned_g_takes_second_pass(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        u = qr_thin(rng.standard_normal((400, 60))).q
+        v = qr_thin(rng.standard_normal((60, 60))).q
+        g = (u * np.geomspace(1.0, 1e-5, 60)) @ v.T
+        assert np.linalg.cond(g) == pytest.approx(1e5, rel=1e-3)
+        one_pass, passes = measurements._cholesky_qr, []
+
+        def counted(b):
+            passes.append(b.shape)
+            return one_pass(b)
+
+        monkeypatch.setattr(measurements, "_cholesky_qr", counted)
+        basis = measurements._orthonormal_rows(g.copy())
+        assert len(passes) == 2
+        assert np.max(np.abs(basis @ basis.T - np.eye(60))) <= 1e-13
+
+    @pytest.mark.parametrize("column", ["zero", "repeat", "combination"])
+    def test_rank_deficient_g_gets_householder_qr(self, column):
+        for seed in range(10):
+            g = np.random.default_rng(seed).standard_normal((60, 20))
+            g[:, 7] = {"zero": 0.0, "repeat": g[:, 3],
+                       "combination": g[:, 3] - 2.0 * g[:, 5]}[column]
+            np.testing.assert_array_equal(
+                measurements._orthonormal_rows(g.copy()), qr_thin(g).q.T)
+
+    def test_draw_holds_g_and_its_gram_matrix_only(self):
+        mn, p = 900, 675
+        draw_random_subspace(30, 30, p, seed=0)
+        tracemalloc.start()
+        try:
+            draw_random_subspace(30, 30, p, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 8 * (mn * p + p * p)
 
 
 OPERATORS = {

@@ -220,6 +220,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             SolverConfig(d=2, **{field: value}).validate()
 
+    @pytest.mark.parametrize("field, settings", [
+        ("tol", dict(tol=np.inf)),
+        ("rho", dict(rho=np.inf)),
+        ("alpha0", dict(alpha0=np.inf, alpha_max=np.inf)),
+    ], ids=["tol", "rho", "alpha0"])
+    def test_infinite_schedule_rejected(self, field, settings):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(d=2, **settings).validate()
+
+    def test_infinite_lambda_and_alpha_cap_are_legal(self):
+        SolverConfig(d=2, lam=np.inf, alpha0=1.0, alpha_max=np.inf).validate()
+
     def test_rho_below_one_still_only_warns(self):
         with pytest.warns(UserWarning, match="rho"):
             SolverConfig(d=2, rho=0.9).validate()

@@ -154,11 +154,14 @@ def _write_result(out_dir, result, include_ratio=False):
 
 
 def _summary(result):
+    first = result.trace[0] if result.trace else None
     last = result.trace[-1] if result.trace else None
     residual = last.residual if last else float("nan")
+    alpha0 = first.alpha if first else float("nan")   # the resolved start
     print(
         f"termination={result.termination} iters={result.iterations} "
-        f"residual={residual:.6e} rank={last.rank if last else 0}"
+        f"residual={residual:.6e} alpha0={alpha0:.6e} "
+        f"rank={last.rank if last else 0}"
     )
 
 

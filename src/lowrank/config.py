@@ -10,6 +10,26 @@ from functools import cached_property
 import numpy as np
 
 
+# Robust completion's "auto" alpha0 is this multiple of lambda / ||D||_2, the
+# 2-norm of the data on Omega. Its first threshold lambda / alpha0,
+# 2 ||D||_2, lies just above every singular value of E^T U, below which V
+# stays zero; the Frobenius start 1 / ||D||_F puts it at lambda ||D||_F, and
+# the first iterations only lower it. Median iterations, then median / max
+# relerr of L, for the Frobenius start, c = 0.5 and c = 1 (one BLAS thread of
+# a 2-core Xeon, 5% spikes):
+# - 500^2, rank 10, 70% observed, auto lambda, d = 20, seeds 1-16: 68, 32 and
+#   27 iterations; 9.9e-5 / 1.2e-4, 1.0e-4 / 1.1e-4 and 9.8e-5 / 1.2e-4;
+# - 1000^2, rank 3, 20% observed, lambda = 0.7 sqrt(n |Omega| / mn), d = 10,
+#   seeds 1-16: 106, 78 and 72 iterations; 1.2e-4, 1.1e-4 and 1.1e-4 /
+#   1.2e-4;
+# - 250^2, rank 3, 20% observed, the same lambda, d = 6, seeds 100-129: 5, 5
+#   and 12 runs above relerr 1e-3, so c = 1 starts too high.
+# Plain completion keeps the Frobenius start: on the benchmark's ratings
+# (1000 x 500, 5% observed, lambda = 0.5, seeds 1-3) c = 1 cut 91 to 86-87
+# iterations and raised the test RMSE from 0.30-0.36 to 0.50-0.60.
+SPECTRAL_START = 0.5
+
+
 def _outside_stacklevel():
     """The ``stacklevel`` with which a warning raised in the caller of this
     function names the first frame outside the package: the line that called
@@ -29,7 +49,9 @@ class SolverConfig:
     lam: float | str = "auto"        # regularizer; "auto" -> sqrt(max(m, n))
     d: int = 10                      # initial rank bound
     rho: float = 1.1                 # penalty growth factor, (1.0, 1.1] advised
-    alpha0: float | str = "auto"     # initial penalty; "auto" -> 1 / ||data||
+    # initial penalty; "auto" -> 0.5 lam / ||data||_2 for RMC and RPCA,
+    # 1 / ||data||_F for MC and CPCP (resolve_alpha0)
+    alpha0: float | str = "auto"
     alpha_max: float = 1e10
     tol: float = 1e-4                # relative stopping tolerance
     max_iter: int = 500
@@ -84,10 +106,22 @@ class SolverConfig:
     def resolve_lambda(self, m, n):
         return math.sqrt(max(m, n)) if self.lam == "auto" else float(self.lam)
 
-    def resolve_alpha0(self, data_norm):
+    def resolve_alpha0(self, data_norm, lam=None, data_norm_2=None):
+        """The initial penalty. A numeric alpha0 is returned as given.
+        "auto" is 1 for zero data (``data_norm``, the data's Frobenius norm,
+        is 0). Otherwise, given ``data_norm_2``, a function that returns the
+        data's 2-norm and is called only when needed, it is SPECTRAL_START *
+        ``lam`` / that norm, at most alpha_max, where that is positive and
+        finite; failing that, 1 / ``data_norm``."""
         if self.alpha0 != "auto":
             return float(self.alpha0)
-        return 1.0 / data_norm if data_norm > 0 else 1.0
+        if not data_norm > 0:
+            return 1.0
+        if data_norm_2 is not None:
+            spectral = SPECTRAL_START * lam / data_norm_2()
+            if 0 < spectral < math.inf:
+                return min(spectral, self.alpha_max)
+        return 1.0 / data_norm
 
 
 @dataclass

@@ -36,12 +36,15 @@ view is read; a callback that reads neither leaves the run bit-identical to
 one without a callback.
 
 Every solve opens with V = 0, and V stays zero until the threshold
-lambda / alpha falls below the top singular value of E^T U: on the
-benchmark's workloads for 9% (MC) to 54% (RMC, 70% observed) of a solve's
-iterations. While V = 0, P V and L are zero, so the factor update, its two
-products and the evaluation of L are skipped, and U stays the start factor
-np.eye(m, d), so E^T U is the first d rows of E, transposed, scattered from
-the Omega entries of those rows, and E is formed on those entries alone.
+lambda / alpha falls below the top singular value of E^T U. Robust completion
+therefore starts the penalty near where that warm-up ends: its "auto" alpha0
+is 0.5 lambda / ||D on Omega||_2 (``SolverConfig.resolve_alpha0``), so the
+first threshold is 2 ||D on Omega||_2, just above every singular value of
+E^T U. Plain completion keeps alpha0 = 1 / ||D on Omega||_F. While V = 0,
+P V and L are zero, so the factor update, its two products and the
+evaluation of L are skipped, and U stays the start factor np.eye(m, d), so
+E^T U is the first d rows of E, transposed, scattered from the Omega entries
+of those rows, and E is formed on those entries alone.
 Such an iteration costs O(|Omega|) elementwise work plus the SVD of an n x d
 matrix, with the same result bit for bit.
 """
@@ -50,6 +53,7 @@ import math
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse.linalg import svds
 
 # perfbench/tracing.py patches these names in this module, mask_project,
 # soft_threshold and nuclear_norm included, so they stay importable from it;
@@ -206,6 +210,14 @@ def _omega_matrix(mask, csr):
     return values, load, low_rank
 
 
+def _norm_2(e):
+    """||E||_2 of a dense or CSR matrix with min(m, n) >= 2, by ARPACK from
+    a seeded start vector: ARPACK's own start is random, and a rerun of a solve
+    must be bit-identical."""
+    start = np.random.default_rng(0).standard_normal(min(e.shape))
+    return float(svds(e, k=1, v0=start, return_singular_vectors=False)[0])
+
+
 def _product_change(u, v, u_prev, v_prev):
     """||U V^T - U_prev V_prev^T||_F for orthonormal U, in O((m + n) d^2).
 
@@ -261,7 +273,6 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
 
     lam = cfg.resolve_lambda(m, n)
     obs_norm = float(np.linalg.norm(data))
-    alpha = cfg.resolve_alpha0(obs_norm)
     threshold = cfg.tol * obs_norm if obs_norm > 0 else cfg.tol
 
     d = cfg.d
@@ -274,6 +285,13 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     # E = P - U_prev V_prev^T is zero off Omega; ``values`` holds it on Omega
     values, load, low_rank = _omega_matrix(mask,
                                            mask.dim < SPARSE_DENSITY * m * n)
+
+    def data_norm_2():
+        # before iteration 1 Y = 0 and Z = D, so E is D on Omega
+        values[:] = data
+        return obs_norm if min(m, n) == 1 else _norm_2(load()[0])
+
+    alpha = cfg.resolve_alpha0(obs_norm, lam, data_norm_2 if robust else None)
     # E^T times the start factor is the first d rows of E, transposed: the
     # first ``head`` Omega entries, at these flat indices of an n x d matrix
     head = int(np.searchsorted(mask.flat_indices, d * n))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import warnings
 
@@ -109,6 +110,21 @@ class TestSolveCommands:
                    "--out-dir", str(est))
         assert code == 0
         assert np.all(load_matrix(est / "S.txt") == 0)
+
+    def test_summary_reports_resolved_alpha0(self, tmp_path, capsys):
+        truth = synth(tmp_path, rows=20, cols=20, rank=2, obs=0.8)
+        for name, flags in (("auto", ()), ("fixed", ("--alpha0", "0.25"))):
+            est = tmp_path / name
+            code = run("rmc", "--data", str(truth / "d_obs.txt"),
+                       "--mask", str(truth / "mask.txt"), "--rank", "4",
+                       *flags, "--out-dir", str(est))
+            assert code == 0
+            summary = capsys.readouterr().out.strip().splitlines()[-1]
+            alpha0 = float(summary.split(" alpha0=")[1].split()[0])
+            with open(est / "trace.csv", newline="") as fh:
+                first = next(csv.DictReader(fh))
+            assert alpha0 == pytest.approx(float(first["alpha"]), rel=1e-6)
+        assert " alpha0=2.500000e-01 rank=" in summary
 
     def test_iteration_cap_exit_code_still_writes_outputs(self, tmp_path,
                                                           capsys):

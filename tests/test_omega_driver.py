@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 
 import lowrank.rmc as rmc
-from lowrank.config import Iterate, IterationRecord, SolverConfig
+from lowrank.config import (
+    SPECTRAL_START,
+    Iterate,
+    IterationRecord,
+    SolverConfig,
+)
 from lowrank.datasets import generate_planted
 from lowrank.measurements import ObservationMask
 from lowrank.metrics import auc, relative_error
@@ -40,11 +45,20 @@ from lowrank.rmc import (
 MATCH_RTOL = 1e-10
 
 
-def _start(d_obs, mask, cfg):
+def _start(d_obs, mask, cfg, robust):
+    """D on Omega, alpha0 and the stopping threshold. "auto" alpha0 is
+    SPECTRAL_START * lambda / ||D on Omega||_2 for robust completion, with
+    LAPACK's 2-norm, and 1 / ||D on Omega||_F for plain completion."""
     data = np.where(mask.marker, d_obs, 0.0)
     obs_norm = float(np.linalg.norm(data))
-    alpha = (1.0 / obs_norm if obs_norm > 0 else 1.0) \
-        if cfg.alpha0 == "auto" else float(cfg.alpha0)
+    if cfg.alpha0 != "auto":
+        alpha = float(cfg.alpha0)
+    elif robust:
+        lam = cfg.resolve_lambda(*d_obs.shape)
+        alpha = min(SPECTRAL_START * lam / np.linalg.norm(data, 2),
+                    cfg.alpha_max)
+    else:
+        alpha = 1.0 / obs_norm if obs_norm > 0 else 1.0
     threshold = cfg.tol * obs_norm if obs_norm > 0 else cfg.tol
     return data, alpha, threshold
 
@@ -61,7 +75,7 @@ def _adjust(cfg, k, u, v, d, adjusted):
 def dense_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
     """Robust completion with every iterate held as a dense m x n matrix."""
     m, n = d_obs.shape
-    data, alpha, threshold = _start(d_obs, mask, cfg)
+    data, alpha, threshold = _start(d_obs, mask, cfg, robust=True)
     marker = mask.marker
     lam = cfg.resolve_lambda(m, n)
     d = cfg.d
@@ -93,7 +107,7 @@ def dense_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
 def dense_mc(d_obs, mask, cfg, iter_callback=None):
     """Plain completion with every iterate held as a dense m x n matrix."""
     m, n = d_obs.shape
-    data, alpha, threshold = _start(d_obs, mask, cfg)
+    data, alpha, threshold = _start(d_obs, mask, cfg, robust=False)
     marker = mask.marker
     lam = cfg.resolve_lambda(m, n)
     d = cfg.d
@@ -463,7 +477,14 @@ def test_csr_products_match_dense_buffer(name):
 
 # While V = 0 the driver skips the factor update and L = U V^T on Omega, and
 # while U is still the start factor np.eye(m, d) it reads E^T U off the first
-# d rows of Omega. Both shortcuts must give what the products give.
+# d rows of Omega. Both shortcuts must give what the products give. Robust
+# completion's "auto" alpha0 leaves few such iterations, so the checks of the
+# warm-up start at plain completion's alpha0, 1 / ||D on Omega||_F.
+
+
+def _frobenius_start(d_obs, mask):
+    return 1.0 / np.linalg.norm(mask.forward(d_obs))
+
 
 D_START = 6
 
@@ -518,7 +539,9 @@ def test_start_factor_product_equals_dense_product(name, monkeypatch):
 
     monkeypatch.setattr(rmc, "_omega_matrix", omega_matrix)
     monkeypatch.setattr(rmc, "svt", checked_svt)
-    res = solve_rmc(d_obs, mask, SolverConfig(lam=3.0, d=D_START, max_iter=12))
+    res = solve_rmc(d_obs, mask, SolverConfig(lam=3.0, d=D_START, max_iter=12,
+                                              alpha0=_frobenius_start(d_obs,
+                                                                      mask)))
     assert len(checked) >= 3, checked
     if "first d rows empty" in name:
         assert len(checked) == res.iterations and not any(ranks)
@@ -562,7 +585,9 @@ def test_factor_update_runs_only_after_nonzero_v(solver, obs_frac,
 def test_factor_update_never_runs_while_rank_stays_zero(solver, monkeypatch):
     p = small_instance(INSTANCES[1], shape=(12, 10))
     calls = _count_factor_updates(monkeypatch)
-    res = solver(p.d_obs, p.mask, SolverConfig(lam=1e6, d=3, max_iter=20))
+    res = solver(p.d_obs, p.mask,
+                 SolverConfig(lam=1e6, d=3, max_iter=20,
+                              alpha0=_frobenius_start(p.d_obs, p.mask)))
     assert res.iterations == 20
     assert all(rec.rank == 0 for rec in res.trace)
     assert calls == []

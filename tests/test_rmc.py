@@ -1,14 +1,15 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-import warnings
-
-from lowrank.config import SolverConfig
+from lowrank.config import SPECTRAL_START, SolverConfig
 from lowrank.cpcp import solve_cpcp
 from lowrank.datasets import generate_planted
-from lowrank.measurements import ObservationMask
+from lowrank.measurements import ObservationMask, draw_random_subspace
 from lowrank.metrics import auc, relative_error
-from lowrank.rmc import solve_mc, solve_rmc, solve_rpca
+from lowrank.rmc import SPARSE_DENSITY, solve_mc, solve_rmc, solve_rpca
 
 
 def planted(m=60, n=60, r=3, spike_frac=0.1, obs_frac=0.8, seed=0):
@@ -157,6 +158,122 @@ class TestSchemeEquivalence:
             assert abs(nuc1 - nuc2) <= 1e-8
             assert np.linalg.norm(s1 - s2) <= 1e-8
             assert np.linalg.norm(y1 - y2) <= 1e-8
+
+
+def spectral_start(d_obs, mask, lam):
+    """SPECTRAL_START * lambda / ||D on Omega||_2, by LAPACK's 2-norm."""
+    return SPECTRAL_START * lam / np.linalg.norm(
+        mask.adjoint(mask.forward(d_obs)), 2)
+
+
+def frobenius_start(d_obs, mask):
+    return 1.0 / np.linalg.norm(mask.forward(d_obs))
+
+
+# Observed fractions on either side of SPARSE_DENSITY: the CSR path, the dense.
+PATHS = [0.15, 0.7]
+
+
+class TestSpectralStart:
+    """Robust completion's "auto" alpha0 is SPECTRAL_START * lambda /
+    ||D on Omega||_2; plain completion and CPCP keep their own start."""
+
+    @pytest.mark.parametrize("obs_frac", PATHS)
+    def test_auto_alpha0_is_spectral(self, obs_frac):
+        p = planted(obs_frac=obs_frac, seed=13)
+        assert (p.mask.dim < SPARSE_DENSITY * 60 * 60) == (obs_frac < 0.25)
+        res = solve_rmc(p.d_obs, p.mask, SolverConfig(d=6, max_iter=1))
+        assert res.trace[0].alpha == pytest.approx(
+            spectral_start(p.d_obs, p.mask, np.sqrt(60)), rel=1e-12)
+
+    def test_rpca_auto_alpha0_is_spectral(self):
+        p = planted(m=40, n=30, obs_frac=1.0, seed=14)
+        res = solve_rpca(p.d_obs, SolverConfig(lam=2.0, d=4, max_iter=1))
+        assert res.trace[0].alpha == pytest.approx(
+            spectral_start(p.d_obs, p.mask, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_warm_up_ends_at_once_and_the_solve_is_shorter(self, seed):
+        # d = m: the start factor np.eye(m, d) spans every row of D, so E^T U
+        # holds the whole spectrum of D from the first iteration on
+        p = planted(m=30, n=90, r=2, spike_frac=0.05, obs_frac=0.9, seed=seed)
+        cfg = SolverConfig(lam=0.6 * np.sqrt(90 * 0.9), d=30)
+        res = solve_rmc(p.d_obs, p.mask, cfg)
+        assert res.trace[0].alpha == pytest.approx(
+            spectral_start(p.d_obs, p.mask, cfg.lam), rel=1e-12)
+        assert any(rec.rank for rec in res.trace[:2])
+        old = solve_rmc(p.d_obs, p.mask, dataclasses.replace(
+            cfg, alpha0=frobenius_start(p.d_obs, p.mask)))
+        assert res.iterations < old.iterations
+        for run in (res, old):
+            assert run.termination == "converged"
+            assert relative_error(run.low_rank(), p.l0) <= 1e-3
+
+    def test_mc_keeps_frobenius_start(self):
+        p = planted(spike_frac=0.0, obs_frac=0.5, seed=15)
+        res = solve_mc(p.d_obs, p.mask, SolverConfig(lam=1.0, d=4, max_iter=2))
+        assert res.trace[0].alpha == frobenius_start(p.d_obs, p.mask)
+
+    def test_cpcp_keeps_frobenius_start(self):
+        p = planted(m=12, n=10, r=2, obs_frac=1.0, seed=16)
+        q = draw_random_subspace(12, 10, 90, seed=16)
+        y = q.forward(p.l0 + p.s0)
+        res = solve_cpcp(y, q, SolverConfig(lam=1.0, d=3, max_iter=2))
+        assert res.trace[0].alpha == 1.0 / np.linalg.norm(y)
+
+    def test_zero_data_on_omega_starts_at_one(self):
+        # ARPACK raises on a zero matrix; no norm is taken
+        p = planted(m=20, n=20, obs_frac=0.5, seed=17)
+        off_omega = np.where(p.mask.marker, 0.0, p.d_obs + 1.0)
+        res = solve_rmc(off_omega, p.mask, SolverConfig(d=2))
+        assert res.trace[0].alpha == 1.0
+        assert res.termination == "converged"
+        assert not np.any(res.low_rank())
+
+    @pytest.mark.parametrize("lam", [0.0, np.inf])
+    def test_no_positive_finite_start_keeps_frobenius_start(self, lam):
+        p = planted(m=20, n=20, obs_frac=0.5, seed=18)
+        res = solve_rmc(p.d_obs, p.mask, SolverConfig(lam=lam, d=2,
+                                                      max_iter=3))
+        assert res.trace[0].alpha == frobenius_start(p.d_obs, p.mask)
+
+    def test_overflowing_start_keeps_frobenius_start(self):
+        p = planted(m=20, n=20, obs_frac=0.5, seed=18)
+        tiny = 1e-10 * p.d_obs
+        assert SPECTRAL_START * 1e308 / float(np.linalg.norm(tiny, 2)) == \
+            np.inf
+        res = solve_rmc(tiny, p.mask, SolverConfig(lam=1e308, d=2,
+                                                   max_iter=3))
+        assert res.trace[0].alpha == frobenius_start(tiny, p.mask)
+
+    def test_start_above_alpha_max_is_clamped(self):
+        p = planted(m=20, n=20, obs_frac=0.5, seed=19)
+        cap = 0.1 * spectral_start(p.d_obs, p.mask, np.sqrt(20))
+        res = solve_rmc(p.d_obs, p.mask, SolverConfig(d=2, alpha_max=cap,
+                                                      max_iter=3))
+        assert [rec.alpha for rec in res.trace] == [cap] * 3
+
+    def test_single_row_takes_its_norm(self):
+        # svds needs min(m, n) >= 2; a row's 2-norm is its Frobenius norm
+        row = np.random.default_rng(20).standard_normal((1, 30))
+        res = solve_rpca(row, SolverConfig(lam=2.0, d=1, max_iter=1))
+        assert res.trace[0].alpha == pytest.approx(
+            SPECTRAL_START * 2.0 / np.linalg.norm(row), rel=1e-15)
+
+    @pytest.mark.parametrize("obs_frac", PATHS)
+    def test_rerun_is_bit_identical(self, obs_frac):
+        # ARPACK's own start vector is random, and from a random start the
+        # norm, and so alpha0, varies in its last bits: the solver seeds it
+        p = planted(obs_frac=obs_frac, seed=21)
+        cfg = SolverConfig(lam=0.7 * np.sqrt(60 * obs_frac), d=6)
+        runs = [solve_rmc(p.d_obs, p.mask, cfg) for _ in range(2)]
+        for name in ("u", "v", "s"):
+            np.testing.assert_array_equal(getattr(runs[0], name),
+                                          getattr(runs[1], name))
+        assert runs[0].trace == runs[1].trace
+        one = dataclasses.replace(cfg, max_iter=1)
+        assert len({solve_rmc(p.d_obs, p.mask, one).trace[0].alpha
+                    for _ in range(10)}) == 1
 
 
 class TestSolveRpca:

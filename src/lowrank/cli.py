@@ -5,18 +5,20 @@ runs writing factor, sparse, and trace files), eval (metrics between an
 estimate directory and a truth directory).
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid flags, configuration or
-inputs, 3 solver hit the iteration cap (outputs are still written).
+inputs, 3 solver hit the iteration cap (outputs are still written). The
+settings are checked by ``SolverConfig`` and the inputs by the solvers, so
+every input a solver rejects, non-finite data on Omega included, exits 2
+with nothing written; cpcp's inputs are checked before the subspace draw.
 """
 
 import argparse
 import os
 import sys
-import warnings
 
 import numpy as np
 
 from .config import SolverConfig, write_trace_csv
-from .cpcp import solve_cpcp
+from .cpcp import check_cpcp_problem, solve_cpcp
 from .datasets import (
     generate_planted,
     load_matrix,
@@ -187,51 +189,28 @@ def cmd_solve(args):
     cpcp = args.command == "cpcp"
     if cpcp:
         y_meas = load_matrix(args.measurements).ravel()
-        shape = (args.rows, args.cols)
     else:
         data = load_matrix(args.data)
-        shape = data.shape
         mask = None if args.command == "rpca" else load_mask(args.mask)
-    # Every input is checked before the cpcp subspace draw, which takes
-    # about 8 s and 540 MiB at 80^2, p = 0.75 mn (one BLAS thread), and
-    # before anything is written.
+    # The solvers check their inputs before iterating, and cpcp's are checked
+    # before the draw: about 8 s and 540 MiB at 80^2, p = 0.75 mn.
     try:
         cfg = _build_solver_config(args, 1000 if cpcp else 500)
-        # The solver validates cfg again and warns then, so warn only once.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg.validate()
-        cfg.check_rank_bound(*shape)
         if cpcp:
-            if cfg.adjust_rank:
-                raise ValueError("adjust_rank is not supported by cpcp")
-            p, size = args.subspace_dim, args.rows * args.cols
-            if not 1 <= p <= size:
-                raise ValueError(
-                    f"subspace dimension {p} out of range [1, {size}]")
-            if y_meas.size != p:
-                raise ValueError(f"{y_meas.size} measurements != dimension {p}")
-        elif mask is not None:
-            if mask.shape != shape:
-                raise ValueError(f"mask shape {mask.shape} != data {shape}")
-            if mask.dim == 0:
-                raise ValueError("observation mask is empty")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if cpcp:
-        q = draw_random_subspace(args.rows, args.cols, p, args.subspace_seed)
-        result = solve_cpcp(y_meas, q, cfg)
-        _write_result(args.out_dir, result, include_ratio=True)
-    else:
-        if mask is None:
+            shape, p = (args.rows, args.cols), args.subspace_dim
+            y_meas = check_cpcp_problem(y_meas, shape, p, cfg)
+            q = draw_random_subspace(*shape, p, args.subspace_seed)
+            result = solve_cpcp(y_meas, q, cfg)
+        elif mask is None:
             result = solve_rpca(data, cfg)
         else:
             solver = solve_rmc if args.command == "rmc" else solve_mc
             result = solver(data, mask, cfg)
-        _write_result(args.out_dir, result)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+    _write_result(args.out_dir, result, include_ratio=cpcp)
     _summary(result)
     return 0 if result.termination == "converged" else 3
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -32,20 +33,23 @@ SPECTRAL_START = 0.5
 
 def _outside_stacklevel():
     """The ``stacklevel`` with which a warning raised in the caller of this
-    function names the first frame outside the package: the line that called
-    into it, however many package frames (solver, driver) lie between."""
+    function names the first frame outside the package and ``dataclasses``:
+    the line that made the config, directly or by ``dataclasses.replace``."""
     package = __name__.rpartition(".")[0] + "."
     level = 2
     frame = sys._getframe(level)
-    while frame is not None and \
-            frame.f_globals.get("__name__", "").startswith(package):
+    while frame is not None and frame.f_globals.get(
+            "__name__", "").startswith((package, "dataclasses")):
         frame = frame.f_back
         level += 1
     return level
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings, validated when made. A config is frozen: derive a
+    variant with ``dataclasses.replace``, which validates it again."""
+
     lam: float | str = "auto"        # regularizer; "auto" -> sqrt(max(m, n))
     d: int = 10                      # initial rank bound
     rho: float = 1.1                 # penalty growth factor, (1.0, 1.1] advised
@@ -59,7 +63,23 @@ class SolverConfig:
     # No solver reads seed; it stays because perfbench/run.py passes seed=.
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
+        # numpy numbers are numbers; a bool is neither a number nor "auto"
+        for names, kind, what in (
+                (("d", "max_iter", "seed"), numbers.Integral, "an integer"),
+                (("rho", "alpha_max", "tol"), numbers.Real, "a number"),
+                (("lam", "alpha0"), (numbers.Real, str), 'a number or "auto"')):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind) or \
+                        isinstance(value, str) and value != "auto":
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
+        if not isinstance(self.adjust_rank, (bool, np.bool_)):
+            raise ValueError(
+                f"adjust_rank must be True or False, got {self.adjust_rank!r}")
         # Each test is written so that NaN, which fails every comparison,
         # fails it too. tol, rho and a numeric alpha0 must also be finite:
         # an infinite one ends the run at once labelled converged. An

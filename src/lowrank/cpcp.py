@@ -27,6 +27,25 @@ from .rmc import nuclear_norm, orthonormal_factor  # noqa: F401
 _RATIO_FLOOR = 1e-30
 
 
+def check_cpcp_problem(y_meas, shape, dim, cfg):
+    """All of ``solve_cpcp``'s checks of ``dim`` measurements ``y_meas`` of
+    a matrix of this ``shape``, made without the operator, so before it is
+    drawn; returns ``y_meas`` as a float64 vector."""
+    if cfg.adjust_rank:
+        raise ValueError("adjust_rank is not supported by cpcp")
+    m, n = shape
+    if not 1 <= dim <= m * n:
+        raise ValueError(f"subspace dimension {dim} out of range [1, {m * n}]")
+    y_meas = np.asarray(y_meas, dtype=np.float64)
+    if y_meas.shape != (dim,):
+        raise ValueError(f"measurement vector of shape {y_meas.shape} does "
+                         f"not match operator dimension {dim}")
+    if not np.all(np.isfinite(y_meas)):
+        raise ValueError("measurements contain non-finite values")
+    cfg.check_rank_bound(m, n)
+    return y_meas
+
+
 def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     """Recover a low-rank plus sparse matrix from p linear measurements.
 
@@ -36,19 +55,8 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     sparse part S and ``y`` the length-p measurement-space multiplier, as in
     ``SolveResult.y``; the solver holds both already.
     """
-    cfg.validate()
-    if cfg.adjust_rank:
-        raise ValueError("adjust_rank is not supported by solve_cpcp")
-    y_meas = np.asarray(y_meas, dtype=np.float64)
-    if y_meas.ndim != 1 or y_meas.shape[0] != q.dim:
-        raise ValueError(
-            f"measurement vector of length {y_meas.shape} does not match "
-            f"operator dimension {q.dim}"
-        )
-    if not np.all(np.isfinite(y_meas)):
-        raise ValueError("measurements contain non-finite values")
+    y_meas = check_cpcp_problem(y_meas, q.shape, q.dim, cfg)
     m, n = q.shape
-    cfg.check_rank_bound(m, n)
 
     lam = cfg.resolve_lambda(m, n)
     alpha = cfg.resolve_alpha0(float(np.linalg.norm(y_meas)))

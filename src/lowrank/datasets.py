@@ -89,19 +89,15 @@ RATING_DTYPE = np.dtype([("user", np.int64), ("item", np.int64),
                          ("value", np.float64)])
 
 
-def _as_tuples(columns):
-    return list(zip(columns["user"].tolist(), columns["item"].tolist(),
-                    columns["value"].tolist()))
-
-
 class RatingDataset:
     """User-item ratings with a seeded 9:1 train/test split.
 
     ``columns`` is a structured array (``RATING_DTYPE``: ``user``, ``item``,
     ``value``), one row per rating; ``load_ratings`` stores it deduplicated
     in row-major order. The constructor also takes a list of (user, item,
-    rating) tuples. ``triplets``, ``train`` and ``test`` are lists of such
-    tuples, built on first read.
+    rating) tuples. ``train_idx`` and ``test_idx`` index the rows of
+    ``columns``; ``test`` is the test rows as a list of such tuples, built
+    on first read.
     """
 
     def __init__(self, triplets, num_users, num_items, train_idx, test_idx,
@@ -116,16 +112,8 @@ class RatingDataset:
         self.duplicate_count = duplicate_count
 
     @functools.cached_property
-    def triplets(self):
-        return _as_tuples(self.columns)
-
-    @functools.cached_property
-    def train(self):
-        return _as_tuples(self.columns[self.train_idx])
-
-    @functools.cached_property
     def test(self):
-        return _as_tuples(self.columns[self.test_idx])
+        return self.columns[self.test_idx].tolist()
 
     def train_matrix(self):
         """Dense matrix of training ratings plus its observation mask."""

@@ -264,7 +264,6 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     ``iter_callback`` receives an ``Iterate`` view over these buffers, which
     forms the m x n S and Y only when read.
     """
-    cfg.validate()
     data = mask.forward(d_obs)
     m, n = mask.shape
     if mask.dim == 0:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lowrank import cli
+from lowrank import cli, rmc
 from lowrank.cli import main
 from lowrank.config import SolverConfig
 from lowrank.datasets import load_matrix, save_matrix
@@ -219,17 +219,17 @@ class TestSolveCommands:
     @pytest.mark.parametrize("command", ["rmc", "mc"])
     def test_mask_shape_mismatch_is_invalid_input(self, tmp_path, capsys,
                                                   monkeypatch, command):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solver called")
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("solver iterated")
 
-        monkeypatch.setattr(cli, f"solve_{command}", no_solve)
+        monkeypatch.setattr(rmc, "svt", no_iteration)
         data = synth(tmp_path, name="a", rows=20, cols=15, rank=2, obs=0.8)
         mask = synth(tmp_path, name="b", rows=15, cols=20, rank=2, obs=0.8)
         code = run(command, "--data", str(data / "d_obs.txt"),
                    "--mask", str(mask / "mask.txt"), "--rank", "2",
                    "--out-dir", str(tmp_path / "est"))
         assert code == 2
-        assert "mask shape (15, 20) != data (20, 15)" in \
+        assert "shape mismatch: matrix (20, 15) vs operator (15, 20)" in \
             capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
@@ -262,10 +262,10 @@ class TestSolveCommands:
     @pytest.mark.parametrize("command", ["rmc", "mc"])
     def test_empty_mask_is_invalid_input(self, tmp_path, capsys, monkeypatch,
                                          command):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solver called")
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("solver iterated")
 
-        monkeypatch.setattr(cli, f"solve_{command}", no_solve)
+        monkeypatch.setattr(rmc, "svt", no_iteration)
         truth = synth(tmp_path, rows=20, cols=15, rank=2, obs=0.8)
         mask = tmp_path / "empty_mask.txt"
         mask.write_text((truth / "mask.txt").read_text().splitlines()[0] + "\n")
@@ -279,7 +279,8 @@ class TestSolveCommands:
     @pytest.mark.parametrize("dim, entries, message", [
         (0, 10, "subspace dimension 0 out of range [1, 25]"),
         (26, 26, "subspace dimension 26 out of range [1, 25]"),
-        (10, 12, "12 measurements != dimension 10"),
+        (10, 12, "measurement vector of shape (12,) does not match "
+                 "operator dimension 10"),
     ])
     def test_cpcp_invalid_measurements_rejected_before_draw(
             self, tmp_path, capsys, monkeypatch, dim, entries, message):
@@ -294,6 +295,36 @@ class TestSolveCommands:
                    str(dim), "--rank", "2", "--out-dir", str(tmp_path / "est"))
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("command", ["rmc", "mc", "rpca", "cpcp"])
+    def test_non_finite_input_is_invalid(self, tmp_path, capsys, monkeypatch,
+                                         command):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("subspace drawn")
+
+        monkeypatch.setattr(cli, "draw_random_subspace", no_draw)
+        truth = synth(tmp_path, rows=20, cols=15, rank=2, obs=0.8)
+        if command == "cpcp":
+            values = np.ones((10, 1))
+            values[4] = np.nan
+            save_matrix(tmp_path / "y.txt", values)
+            inputs = ["--measurements", str(tmp_path / "y.txt"), "--rows",
+                      "5", "--cols", "5", "--subspace-seed", "1",
+                      "--subspace-dim", "10"]
+        else:
+            data = load_matrix(truth / "d_obs.txt")
+            # an entry on Omega: the mask lists it first
+            i, j = np.divmod(load_mask(truth / "mask.txt").flat_indices[0], 15)
+            data[i, j] = np.inf if command == "rpca" else np.nan
+            save_matrix(tmp_path / "bad.txt", data)
+            inputs = ["--data", str(tmp_path / "bad.txt")]
+            if command != "rpca":
+                inputs += ["--mask", str(truth / "mask.txt")]
+        code = run(command, *inputs, "--rank", "2",
+                   "--out-dir", str(tmp_path / "est"))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from lowrank.config import SolverConfig
 from lowrank.cpcp import data_fit_gradient, solve_cpcp
 from lowrank.datasets import generate_planted
-from lowrank.measurements import draw_random_subspace
+from lowrank.measurements import ObservationMask, draw_random_subspace
 from lowrank.metrics import relative_error
 from lowrank.prox import soft_threshold, svt
 from lowrank.rmc import orthonormal_factor, solve_rmc
@@ -52,8 +54,16 @@ class TestSolveCpcp:
 
     def test_measurement_length_mismatch(self):
         q = draw_random_subspace(5, 5, 10, seed=2)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match=re.escape(
+                "measurement vector of shape (9,) does not match operator "
+                "dimension 10")):
             solve_cpcp(np.zeros(9), q, SolverConfig(d=2))
+
+    def test_operator_without_measurements_rejected(self):
+        empty = ObservationMask(np.zeros((5, 5), dtype=bool))
+        with pytest.raises(ValueError, match=re.escape(
+                "subspace dimension 0 out of range [1, 25]")):
+            solve_cpcp(np.zeros(0), empty, SolverConfig(d=2))
 
     def test_nonfinite_measurements_rejected(self):
         q = draw_random_subspace(5, 5, 10, seed=3)

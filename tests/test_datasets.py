@@ -85,14 +85,14 @@ class TestLoadRatings:
     def test_double_colon_format_with_timestamp(self, tmp_path):
         path = self.write(tmp_path, "1::5::3.0::978300760\n")
         ds = load_ratings(path)
-        assert ds.triplets == [(0, 0, 3.0)]
+        assert ds.columns.tolist() == [(0, 0, 3.0)]
         assert ds.num_users == 1 and ds.num_items == 1
 
     def test_whitespace_format(self, tmp_path):
         path = self.write(tmp_path, "3 7 4.5\n3 2 1.0\n9 2 2.0\n")
         ds = load_ratings(path)
         assert ds.num_users == 2 and ds.num_items == 2
-        assert (0, 1, 4.5) in ds.triplets  # user 3 -> 0, item 7 -> 1
+        assert (0, 1, 4.5) in ds.columns.tolist()  # user 3 -> 0, item 7 -> 1
 
     def test_comma_format(self, tmp_path):
         path = self.write(tmp_path, "1,1,5.0\n2,1,3.0\n")
@@ -101,14 +101,14 @@ class TestLoadRatings:
     def test_ids_remapped_by_sorted_order(self, tmp_path):
         path = self.write(tmp_path, "10 100 1.0\n2 50 2.0\n")
         ds = load_ratings(path)
-        assert sorted(ds.triplets) == [(0, 0, 2.0), (1, 1, 1.0)]
+        assert sorted(ds.columns.tolist()) == [(0, 0, 2.0), (1, 1, 1.0)]
 
     def test_duplicates_keep_last_and_warn(self, tmp_path):
         path = self.write(tmp_path, "1 1 2.0\n1 1 4.0\n1 2 1.0\n")
         with pytest.warns(UserWarning, match="1 duplicate"):
             ds = load_ratings(path)
         assert ds.duplicate_count == 1
-        assert (0, 0, 4.0) in ds.triplets
+        assert (0, 0, 4.0) in ds.columns.tolist()
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = self.write(tmp_path, "1 1 2.0\n1 2\n")
@@ -128,7 +128,7 @@ class TestLoadRatings:
     def test_ten_ratings_split_nine_to_one(self, tmp_path):
         lines = "\n".join(f"{i} {i} 1.0" for i in range(10))
         ds = load_ratings(self.write(tmp_path, lines))
-        assert len(ds.train) == 9
+        assert len(ds.columns[ds.train_idx]) == 9
         assert len(ds.test) == 1
         assert set(ds.train_idx) | set(ds.test_idx) == set(range(10))
 
@@ -145,8 +145,8 @@ class TestLoadRatings:
         ds = load_ratings(path)
         data, mask = ds.train_matrix()
         assert data.shape == (5, 2)
-        assert mask.dim == len(ds.train)
-        for u, i, val in ds.train:
+        assert mask.dim == len(ds.train_idx)
+        for u, i, val in ds.columns[ds.train_idx].tolist():
             assert data[u, i] == val and mask.marker[u, i]
 
     def test_train_matrix_matches_triplet_loop(self, tmp_path):
@@ -159,7 +159,7 @@ class TestLoadRatings:
         data, mask = ds.train_matrix()
         expected = np.zeros((ds.num_users, ds.num_items))
         marker = np.zeros((ds.num_users, ds.num_items), dtype=bool)
-        for u, i, val in ds.train:
+        for u, i, val in ds.columns[ds.train_idx].tolist():
             expected[u, i] = val
             marker[u, i] = True
         assert np.array_equal(data, expected)

@@ -77,7 +77,7 @@ def outcome(load, path, seed):
 def columnar_load_ratings(path, seed):
     ds = load_ratings(path, seed=seed)
     data, mask = ds.train_matrix()
-    return (ds.triplets, ds.num_users, ds.num_items, ds.train_idx, ds.test_idx,
+    return (ds.columns.tolist(), ds.num_users, ds.num_items, ds.train_idx, ds.test_idx,
             ds.duplicate_count, data, mask.marker)
 
 
@@ -198,7 +198,7 @@ class TestRatingsColumnarPath:
                                                       reference_calls):
         path = tmp_path / "r.dat"
         path.write_bytes(text.encode())
-        assert load_ratings(path).triplets
+        assert load_ratings(path).columns.size
         assert reference_calls == []
 
     @pytest.mark.parametrize("text", [

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -211,7 +212,8 @@ class TestMaskProject:
         np.testing.assert_array_equal(mask_project(once, mask), once)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=re.escape(
+                "shape mismatch: matrix (2, 2) vs operator (3, 3)")):
             mask_project(np.ones((2, 2)), ObservationMask.full(3, 3))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
@@ -298,44 +299,69 @@ class TestSolveRpca:
 class TestConfigValidation:
     def test_rho_outside_guideline_warns(self):
         with pytest.warns(UserWarning, match="rho"):
-            SolverConfig(d=2, rho=1.5).validate()
+            SolverConfig(d=2, rho=1.5)
 
     @pytest.mark.parametrize("solver", ["rmc", "mc", "rpca", "cpcp"])
     def test_rho_warning_names_the_calling_line(self, solver):
         p = planted(m=12, n=10, r=2, seed=3)
-        cfg = SolverConfig(d=2, rho=1.5, max_iter=2)
         calls = {
-            "rmc": lambda: solve_rmc(p.d_obs, p.mask, cfg),
-            "mc": lambda: solve_mc(p.d_obs, p.mask, cfg),
-            "rpca": lambda: solve_rpca(p.d_obs, cfg),
-            "cpcp": lambda: solve_cpcp(p.mask.forward(p.d_obs), p.mask, cfg),
+            "rmc": lambda cfg: solve_rmc(p.d_obs, p.mask, cfg),
+            "mc": lambda cfg: solve_mc(p.d_obs, p.mask, cfg),
+            "rpca": lambda cfg: solve_rpca(p.d_obs, cfg),
+            "cpcp": lambda cfg: solve_cpcp(p.mask.forward(p.d_obs), p.mask,
+                                           cfg),
         }
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            line = calls[solver].__code__.co_firstlineno
-            calls[solver]()
+            make = lambda: SolverConfig(d=2, rho=1.5, max_iter=2)  # noqa: E731
+            calls[solver](make())
         (w,) = [w for w in caught if "rho" in str(w.message)]
         assert w.filename == __file__
-        assert w.lineno == line
+        assert w.lineno == make.__code__.co_firstlineno
+
+    def test_replace_validates_again(self):
+        cfg = SolverConfig(d=2)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            dataclasses.replace(cfg, tol=0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            dataclasses.replace(cfg, rho=1.5)
+        (w,) = caught
+        assert (w.filename, w.lineno) == (__file__, line)
+
+    def test_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SolverConfig().tol = 0.0
 
     def test_zero_tol_rejected(self):
         with pytest.raises(ValueError, match="tol"):
-            SolverConfig(d=2, tol=0.0).validate()
+            SolverConfig(d=2, tol=0.0)
 
     def test_alpha_cap_below_start_rejected(self):
         with pytest.raises(ValueError, match="alpha_max"):
-            SolverConfig(d=2, alpha0=5.0, alpha_max=1.0).validate()
+            SolverConfig(d=2, alpha0=5.0, alpha_max=1.0)
 
     @pytest.mark.parametrize("field, value", [
         ("max_iter", 0), ("max_iter", -3), ("rho", 0.0), ("rho", -1.1),
         ("alpha_max", 0.0), ("alpha_max", -1.0),
         ("lam", np.nan), ("rho", np.nan), ("alpha0", np.nan),
         ("alpha_max", np.nan), ("tol", np.nan),
+        ("d", 2.5), ("max_iter", 2.5), ("d", True), ("lam", "none"),
+        ("alpha0", "Auto"), ("adjust_rank", "no"), ("adjust_rank", 1),
+        ("tol", None), ("seed", 0.5),
     ])
     def test_schedule_out_of_range_rejected(self, field, value):
         # alpha0 stays "auto", so alpha_max is checked without a numeric start
-        with pytest.raises(ValueError, match=field):
-            SolverConfig(d=2, **{field: value}).validate()
+        with pytest.raises(ValueError, match=f"^{field}"):
+            SolverConfig(**{"d": 2, field: value})
+
+    def test_numpy_numbers_are_legal(self):
+        cfg = SolverConfig(lam=np.float64(0.5), d=np.int64(3),
+                           rho=np.float32(1.05), max_iter=np.int32(5),
+                           adjust_rank=np.bool_(False))
+        p = planted(m=12, n=10, r=2, seed=3)
+        assert solve_rmc(p.d_obs, p.mask, cfg).iterations <= 5
 
     @pytest.mark.parametrize("field, settings", [
         ("tol", dict(tol=np.inf)),
@@ -344,14 +370,14 @@ class TestConfigValidation:
     ], ids=["tol", "rho", "alpha0"])
     def test_infinite_schedule_rejected(self, field, settings):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            SolverConfig(d=2, **settings).validate()
+            SolverConfig(d=2, **settings)
 
     def test_infinite_lambda_and_alpha_cap_are_legal(self):
-        SolverConfig(d=2, lam=np.inf, alpha0=1.0, alpha_max=np.inf).validate()
+        SolverConfig(d=2, lam=np.inf, alpha0=1.0, alpha_max=np.inf)
 
     def test_rho_below_one_still_only_warns(self):
         with pytest.warns(UserWarning, match="rho"):
-            SolverConfig(d=2, rho=0.9).validate()
+            SolverConfig(d=2, rho=0.9)
 
     def test_auto_lambda(self):
         assert SolverConfig().resolve_lambda(100, 50) == pytest.approx(10.0)

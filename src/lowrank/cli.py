@@ -1,8 +1,11 @@
 """Command-line experiment harness.
 
 Subcommands: synth (planted problem files), rmc / rpca / mc / cpcp (solver
-runs writing factor, sparse, and trace files), eval (metrics between an
-estimate directory and a truth directory).
+runs writing U.txt, V.txt, S.txt and trace.csv, whose one header is
+iter,residual,objective,alpha,d,stop_ratio,rank with stop_ratio blank where
+the solver records none; cpcp reads a p x 1 measurements file), eval
+(metrics between an estimate directory, whose low-rank estimate is U V^T,
+and a truth directory).
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid flags, configuration or
 inputs, 3 solver hit the iteration cap (outputs are still written). The
@@ -146,24 +149,21 @@ def _build_solver_config(args, default_max_iter):
     return SolverConfig(**settings)
 
 
-def _write_result(out_dir, result, include_ratio=False):
+def _write_result(out_dir, result):
     os.makedirs(out_dir, exist_ok=True)
     save_matrix(os.path.join(out_dir, "U.txt"), result.u)
     save_matrix(os.path.join(out_dir, "V.txt"), result.v)
     save_matrix(os.path.join(out_dir, "S.txt"), result.s)
-    write_trace_csv(os.path.join(out_dir, "trace.csv"), result.trace,
-                    include_ratio=include_ratio)
+    write_trace_csv(os.path.join(out_dir, "trace.csv"), result.trace)
 
 
 def _summary(result):
-    first = result.trace[0] if result.trace else None
-    last = result.trace[-1] if result.trace else None
-    residual = last.residual if last else float("nan")
-    alpha0 = first.alpha if first else float("nan")   # the resolved start
+    # max_iter >= 1, so there is a record; the first has the resolved alpha0
+    first, last = result.trace[0], result.trace[-1]
     print(
         f"termination={result.termination} iters={result.iterations} "
-        f"residual={residual:.6e} alpha0={alpha0:.6e} "
-        f"rank={last.rank if last else 0}"
+        f"residual={last.residual:.6e} alpha0={first.alpha:.6e} "
+        f"rank={last.rank}"
     )
 
 
@@ -188,7 +188,9 @@ def cmd_synth(args):
 def cmd_solve(args):
     cpcp = args.command == "cpcp"
     if cpcp:
-        y_meas = load_matrix(args.measurements).ravel()
+        # p x 1; a wider file fails check_cpcp_problem's shape check
+        y_meas = load_matrix(args.measurements)
+        y_meas = y_meas[:, 0] if y_meas.shape[1] == 1 else y_meas
     else:
         data = load_matrix(args.data)
         mask = None if args.command == "rpca" else load_mask(args.mask)
@@ -210,15 +212,12 @@ def cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _write_result(args.out_dir, result, include_ratio=cpcp)
+    _write_result(args.out_dir, result)
     _summary(result)
     return 0 if result.termination == "converged" else 3
 
 
 def _load_estimate_low_rank(est_dir):
-    l_path = os.path.join(est_dir, "L.txt")
-    if os.path.exists(l_path):
-        return load_matrix(l_path)
     u = load_matrix(os.path.join(est_dir, "U.txt"))
     v = load_matrix(os.path.join(est_dir, "V.txt"))
     return u @ v.T

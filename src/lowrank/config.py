@@ -226,24 +226,20 @@ class SolveResult:
         return self.u @ self.v.T
 
 
-def write_trace_csv(path, trace, include_ratio=False):
-    cols = ["iter", "residual", "objective", "alpha", "d"]
-    if include_ratio:
-        cols.append("stop_ratio")
-    cols.append("rank")
+def write_trace_csv(path, trace):
+    """One header for every solver; a ratio or rank not recorded is blank."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
+        writer.writerow(["iter", "residual", "objective", "alpha", "d",
+                         "stop_ratio", "rank"])
         for rec in trace:
-            row = [
+            ratio = rec.stop_ratio
+            writer.writerow([
                 rec.iteration,
                 f"{rec.residual:.17g}",
                 f"{rec.objective:.17g}",
                 f"{rec.alpha:.17g}",
                 rec.d,
-            ]
-            if include_ratio:
-                ratio = rec.stop_ratio
-                row.append("" if ratio is None else f"{ratio:.17g}")
-            row.append("" if rec.rank is None else rec.rank)
-            writer.writerow(row)
+                "" if ratio is None else f"{ratio:.17g}",
+                "" if rec.rank is None else rec.rank,
+            ])

@@ -65,11 +65,11 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     u = np.eye(m, d)
     v = np.zeros((n, d))
     s = np.zeros((m, n))
-    t = u @ v.T
+    t = np.zeros((m, n))             # U V^T with V = 0
     dual = np.zeros(q.dim)
     # forward(t + s) at the current iterate, shared by the next iteration's
-    # product gradient, the dual step and the residual.
-    fit = q.forward(t + s)
+    # product gradient, the dual step and the residual; zero at the start.
+    fit = np.zeros(q.dim)
     trace = []
     termination = "max_iter_reached"
     # read only while the callback runs, so they see this iteration's S and y

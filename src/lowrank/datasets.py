@@ -87,6 +87,7 @@ def generate_planted(m, n, r, spike_frac, magnitude=1.0, obs_frac=1.0, seed=0):
 
 RATING_DTYPE = np.dtype([("user", np.int64), ("item", np.int64),
                          ("value", np.float64)])
+TEST_FRACTION = 0.1
 
 
 class RatingDataset:
@@ -127,10 +128,10 @@ class RatingDataset:
         return mask.adjoint(train["value"]), mask
 
 
-def split_ratings(triplets, seed, test_fraction=0.1):
+def split_ratings(triplets, seed):
     """Seeded shuffle partition: ceil(9/10) train, floor(1/10) test."""
     n = len(triplets)
-    n_test = int(math.floor(n * test_fraction))
+    n_test = int(math.floor(n * TEST_FRACTION))
     order = np.random.default_rng(seed).permutation(n)
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 

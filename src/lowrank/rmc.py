@@ -352,7 +352,7 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
         u_prev, v_prev = u, v
         # not after the last iteration: the result is the iterate last recorded
         if cfg.adjust_rank and not adjusted and \
-                RANK_ADJUST_START <= k < cfg.max_iter and d >= 2:
+                RANK_ADJUST_START <= k < cfg.max_iter:
             new_d = adjust_rank_once(v, d)
             if new_d != d:
                 basis = _rank_truncation_basis(v, new_d)

@@ -16,6 +16,12 @@ def run(*argv):
     return main(list(argv))
 
 
+def save_estimate(est, low_rank):
+    """An estimate directory whose U V^T is ``low_rank``: U = L, V = I."""
+    save_matrix(est / "U.txt", low_rank)
+    save_matrix(est / "V.txt", np.eye(low_rank.shape[1]))
+
+
 def synth(tmp_path, name="truth", rows=30, cols=30, rank=3, spike=0.1,
           obs=1.0, seed=0):
     out = tmp_path / name
@@ -126,16 +132,29 @@ class TestSolveCommands:
             assert alpha0 == pytest.approx(float(first["alpha"]), rel=1e-6)
         assert " alpha0=2.500000e-01 rank=" in summary
 
+    @pytest.mark.parametrize("command", ["rmc", "mc", "rpca", "cpcp"])
     def test_iteration_cap_exit_code_still_writes_outputs(self, tmp_path,
-                                                          capsys):
+                                                          capsys, command):
         truth = synth(tmp_path, rows=30, cols=30, rank=3, spike=0.1)
+        if command == "cpcp":
+            save_matrix(tmp_path / "y.txt", np.ones((200, 1)))
+            inputs = ["--measurements", str(tmp_path / "y.txt"), "--rows",
+                      "30", "--cols", "30", "--subspace-seed", "1",
+                      "--subspace-dim", "200"]
+        else:
+            inputs = ["--data", str(truth / "d_obs.txt")]
+            if command != "rpca":
+                inputs += ["--mask", str(truth / "mask.txt")]
         est = tmp_path / "est"
-        code = run("rpca", "--data", str(truth / "d_obs.txt"),
-                   "--rank", "6", "--max-iter", "3", "--out-dir", str(est))
+        code = run(command, *inputs, "--rank", "6", "--max-iter", "3",
+                   "--out-dir", str(est))
         assert code == 3
         assert "termination=max_iter_reached" in capsys.readouterr().out
         assert (est / "U.txt").exists()
-        assert len((est / "trace.csv").read_text().splitlines()) == 4
+        lines = (est / "trace.csv").read_text().splitlines()
+        # one header for every solver; stop_ratio is blank where not recorded
+        assert lines[0] == "iter,residual,objective,alpha,d,stop_ratio,rank"
+        assert len(lines) == 4
 
     def test_solver_has_no_seed_flag(self, tmp_path, capsys):
         # no solver draws random numbers; the seed belongs to synth
@@ -281,6 +300,9 @@ class TestSolveCommands:
         (26, 26, "subspace dimension 26 out of range [1, 25]"),
         (10, 12, "measurement vector of shape (12,) does not match "
                  "operator dimension 10"),
+        # the file is p x 1, not any shape with p entries
+        pytest.param(6, (3, 2), "measurement vector of shape (3, 2) does "
+                     "not match operator dimension 6", id="6-3x2-columns"),
     ])
     def test_cpcp_invalid_measurements_rejected_before_draw(
             self, tmp_path, capsys, monkeypatch, dim, entries, message):
@@ -289,12 +311,13 @@ class TestSolveCommands:
 
         monkeypatch.setattr(cli, "draw_random_subspace", no_draw)
         meas = tmp_path / "y.txt"
-        save_matrix(meas, np.ones((entries, 1)))
+        shape = entries if isinstance(entries, tuple) else (entries, 1)
+        save_matrix(meas, np.ones(shape))
         code = run("cpcp", "--measurements", str(meas), "--rows", "5",
                    "--cols", "5", "--subspace-seed", "1", "--subspace-dim",
                    str(dim), "--rank", "2", "--out-dir", str(tmp_path / "est"))
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
     @pytest.mark.parametrize("command", ["rmc", "mc", "rpca", "cpcp"])
@@ -563,11 +586,9 @@ class TestEval:
         assert "--test-file" in capsys.readouterr().err
 
     def test_rmse_from_fixture(self, tmp_path, capsys):
-        from lowrank.datasets import save_matrix
-
         est = tmp_path / "est"
         est.mkdir()
-        save_matrix(est / "L.txt", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        save_estimate(est, np.array([[1.0, 2.0], [3.0, 4.0]]))
         test_file = tmp_path / "test.txt"
         test_file.write_text("0 0 2.0\n1 1 4.0\n")
         code = run("eval", "--estimate-dir", str(est),
@@ -579,11 +600,27 @@ class TestEval:
         assert float(line.split("=")[-1]) == pytest.approx(np.sqrt(0.5),
                                                            abs=1e-6)
 
+    @pytest.mark.parametrize("metric", ["relerr", "rmse"])
+    def test_estimate_is_u_times_v_transposed(self, tmp_path, capsys, metric):
+        # a stray L.txt, such as a zero matrix, is not the estimate
+        low_rank = np.array([[1.0, 2.0], [3.0, 4.0]])
+        est = tmp_path / "est"
+        est.mkdir()
+        save_estimate(est, low_rank)
+        save_matrix(est / "L.txt", np.zeros((2, 2)))
+        save_matrix(est / "l0.txt", low_rank)
+        test_file = tmp_path / "test.txt"
+        test_file.write_text("0 0 1.0\n1 1 4.0\n")
+        code = run("eval", "--estimate-dir", str(est), "--truth-dir",
+                   str(est), "--metric", metric, "--test-file", str(test_file))
+        assert code == 0
+        assert capsys.readouterr().out == f"metric={metric} value=0\n"
+
     @pytest.mark.parametrize("bad", ["-1 0 2.0", "9 0 2.0"])
     def test_rmse_index_outside_estimate(self, tmp_path, capsys, bad):
         est = tmp_path / "est"
         est.mkdir()
-        save_matrix(est / "L.txt", np.ones((6, 5)))
+        save_estimate(est, np.ones((6, 5)))
         test_file = tmp_path / "test.txt"
         test_file.write_text(f"0 0 2.0\n{bad}\n")
         code = run("eval", "--estimate-dir", str(est),

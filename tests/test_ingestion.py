@@ -231,7 +231,8 @@ class TestNonFiniteRatings:
         assert f"{path}:2:" in str(info.value)
 
     def test_eval_rmse_rejects_with_location(self, tmp_path, capsys):
-        save_matrix(tmp_path / "L.txt", np.ones((3, 3)))
+        save_matrix(tmp_path / "U.txt", np.ones((3, 3)))
+        save_matrix(tmp_path / "V.txt", np.eye(3))
         test_file = tmp_path / "test.txt"
         test_file.write_text("0 0 2.0\n1 1 nan\n")
         code = main(["eval", "--estimate-dir", str(tmp_path),
@@ -242,7 +243,8 @@ class TestNonFiniteRatings:
         assert f"{test_file}:2: non-finite rating 'nan'" in err
 
     def test_eval_rmse_reads_the_ratings_grammar(self, tmp_path, capsys):
-        save_matrix(tmp_path / "L.txt", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        save_matrix(tmp_path / "U.txt", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        save_matrix(tmp_path / "V.txt", np.eye(2))
         test_file = tmp_path / "test.txt"
         test_file.write_text("0::0::2.0::978300760\r\n\r\n1::1::4.0::0\r\n")
         code = main(["eval", "--estimate-dir", str(tmp_path),

@@ -211,7 +211,8 @@ def test_cli_reports_final_rank(tmp_path, capsys):
     summary = capsys.readouterr().out.strip().splitlines()[-1]
     with open(est / "trace.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "residual", "objective", "alpha", "d", "rank"]
+    assert rows[0] == ["iter", "residual", "objective", "alpha", "d",
+                       "stop_ratio", "rank"]
     assert all(int(row[-1]) <= int(row[4]) for row in rows[1:])
     assert summary.endswith(f" rank={rows[-1][-1]}")
 

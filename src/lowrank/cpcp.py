@@ -12,6 +12,14 @@ gradient step followed by the matching proximal map. The operator's rows are
 orthonormal, so its Gram operator ``adjoint(forward(.))`` is an orthogonal
 projection of norm 1 and the step is 1 / alpha. The multiplier lives in
 measurement space.
+
+The operator's passes set an iteration's cost, so the solver holds
+forward(U V^T) and forward(S) apart and each iteration makes: one adjoint
+for the product step; one forward of U V^T and one adjoint for the sparse
+step, both dropped while V = 0 (the sparse step then reuses the product
+step's gradient, the same vector); and one forward of S, which a
+``SubspaceOperator`` forms from S's nonzero entries alone while they are
+few. By linearity this is the iteration that forms forward(U V^T + S).
 """
 
 import numpy as np
@@ -66,10 +74,13 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     v = np.zeros((n, d))
     s = np.zeros((m, n))
     t = np.zeros((m, n))             # U V^T with V = 0
+    rank = 0                         # of V; U V^T is zero when it is 0
     dual = np.zeros(q.dim)
-    # forward(t + s) at the current iterate, shared by the next iteration's
-    # product gradient, the dual step and the residual; zero at the start.
-    fit = np.zeros(q.dim)
+    # forward(t) and forward(s) at the current iterate, held apart, and their
+    # sum fit, which the next product gradient, the dual step and the
+    # residual share; all zero at the start.
+    zero = np.zeros(q.dim)
+    ft = fs = fit = zero
     trace = []
     termination = "max_iter_reached"
     # read only while the callback runs, so they see this iteration's S and y
@@ -77,7 +88,7 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
              "support": lambda it: int(np.count_nonzero(s))}
 
     for k in range(1, cfg.max_iter + 1):
-        t_prev, s_prev = t, s
+        t_prev, s_prev, rank_prev = t, s, rank
         # The data-fit gradient carries a factor alpha and the Gram operator
         # has norm 1, so the quadratic's Lipschitz constant is alpha.
         step = 1.0 / alpha
@@ -87,10 +98,18 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         # SVT of the d x n step target, applied in its n x d orientation
         # (unitarily equivalent) so the small side carries the thresholding.
         v, shrunk = svt((u.T @ b).T, lam / alpha)
+        rank = shrunk.size
         t = u @ v.T
-        grad_s = data_fit_gradient(s, t, y_meas, dual, alpha, q)
+        if rank or rank_prev:
+            ft = q.forward(t) if rank else zero
+            grad_s = alpha * q.adjoint(ft + fs - y_meas - dual / alpha)
+        else:
+            # V = 0 now and before: ft is zero on both sides, so the sparse
+            # step's adjoint argument is the product step's, bit for bit.
+            grad_s = grad_t
         s = soft_threshold(s - step * grad_s, 1.0 / alpha)
-        fit = q.forward(t + s)
+        fs = q.forward(s)
+        fit = ft + fs
         dual = dual + alpha * (y_meas - fit)
 
         residual = float(np.linalg.norm(y_meas - fit))
@@ -101,7 +120,7 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         )
         ratio = numer / denom if denom >= _RATIO_FLOOR else None
         trace.append(IterationRecord(k, residual, objective, alpha, d, ratio,
-                                     rank=shrunk.size))
+                                     rank=rank))
         if iter_callback is not None:
             Iterate(trace[-1], u, v, forms).pass_to(iter_callback)
         if k > 1 and ratio is not None and ratio < cfg.tol:
@@ -116,7 +135,8 @@ def data_fit_gradient(point, other, y_meas, dual, alpha, q):
     """Gradient of the linearized data-fit quadratic at ``point``.
 
     The quadratic is (alpha/2) * || y - P(point + other) + dual/alpha ||^2
-    with P the measurement forward map; used by the solver for both the
-    product and the sparse blocks, and exposed for finite-difference checks.
+    with P the measurement forward map. The solver takes this gradient for
+    the product and the sparse blocks, formed from P(U V^T) and P(S) held
+    apart; this reference form serves finite-difference checks.
     """
     return alpha * q.adjoint(q.forward(point + other) - y_meas - dual / alpha)

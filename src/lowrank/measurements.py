@@ -9,7 +9,9 @@ raising ``ValueError`` on another length. Both have orthonormal rows, so
 ``forward(adjoint(y))`` is ``y`` and ``adjoint(forward(a))`` projects ``a``
 onto the measured subspace. A mask's coefficients are its observed entries
 in row-major order: ``forward`` gathers them, ``adjoint`` scatters them into
-zeros.
+zeros. A subspace's ``forward`` of a matrix with fewer than GATHER_DENSITY
+* mn nonzero entries reads only the basis columns of those entries; of any
+other matrix, it is the product of the whole basis with the matrix.
 """
 
 from dataclasses import dataclass
@@ -30,6 +32,13 @@ ORTHONORMAL_TOL = 1e-13
 # kappa(G) >= 1e6: a column that is, or nearly is, a combination of those
 # before it, whose pivot may be rounding noise.
 PIVOT_FLOOR = 1e-12
+# SubspaceOperator.forward of a matrix with fewer than GATHER_DENSITY * mn
+# nonzeros multiplies them by the gathered rows of basis^T, not the whole
+# basis by the matrix. Best of 300 on a 2-core Xeon, one OpenBLAS thread,
+# p = 0.75 mn: at 45^2 the dense product took 1.21 ms and the gather 0.13,
+# 0.43, 0.88 and 1.19 ms at 5%, 12.5%, 25% and 35% nonzeros; at 30^2, 0.19 ms
+# dense and 0.04, 0.12 and 0.18 ms gathered at 12.5%, 25% and 30%.
+GATHER_DENSITY = 0.25
 
 
 def _check_shape(a, shape):
@@ -191,8 +200,15 @@ class SubspaceOperator:
         return self.basis.shape[0]
 
     def forward(self, a):
+        """The p coefficients of ``a``. Below GATHER_DENSITY nonzeros, only
+        the basis columns of ``a``'s nonzero entries are read."""
         a = _check_shape(check_matrix(a, "subspace forward input"), self.shape)
-        return self.basis @ a.ravel()
+        flat = a.ravel()
+        if np.count_nonzero(flat) < GATHER_DENSITY * flat.size:
+            nz = np.flatnonzero(flat)
+            # basis.T is C-ordered, so each gathered row is contiguous
+            return flat[nz] @ self.basis.T[nz]
+        return self.basis @ flat
 
     def adjoint(self, y):
         y = _check_length(y, self.dim)

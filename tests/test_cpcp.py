@@ -88,82 +88,149 @@ class TestSolveCpcp:
 
 
 class CountingOperator:
-    """Exposes only the four operator members and counts forward calls."""
+    """Exposes only the four operator members, counts forward calls and
+    keeps what each adjoint call returned."""
 
     def __init__(self, q):
         self.q = q
         self.forward_calls = 0
+        self.adjoints = []
         self.shape = q.shape
         self.dim = q.dim
-        self.adjoint = q.adjoint
 
     def forward(self, a):
         self.forward_calls += 1
         return self.q.forward(a)
 
+    def adjoint(self, y):
+        self.adjoints.append(self.q.adjoint(y))
+        return self.adjoints[-1]
+
 
 LAM = 2.0
 
 
-def collect(seed=7, iters=25):
+def planted_problem(seed, iters):
+    _, q, y = measured_problem(seed=seed)
+    return q, y, SolverConfig(lam=LAM, d=4, max_iter=iters, tol=1e-14)
+
+
+def rank_drop_problem():
+    """A problem whose V turns nonzero and back to zero: ranks 0, 0, 1, 1,
+    1, 1, 0, ..."""
+    q = draw_random_subspace(6, 5, 12, seed=5)
+    y = np.random.default_rng(5).standard_normal(12)
+    return q, y, SolverConfig(lam=LAM, d=2, max_iter=12, tol=1e-14)
+
+
+def solve_and_collect(q, y, cfg, after_iteration=lambda: None):
     """Operator, measurements, result, and one (u, v, s, y) snapshot per
     iteration; snapshot 0 is the starting point of the solver."""
-    _, q, y = measured_problem(seed=seed)
     m, n = q.shape
-    d = 4
-    snaps = [(np.eye(m, d), np.zeros((n, d)), np.zeros((m, n)),
+    snaps = [(np.eye(m, cfg.d), np.zeros((n, cfg.d)), np.zeros((m, n)),
               np.zeros(q.dim))]
-    res = solve_cpcp(y, q, SolverConfig(lam=LAM, d=d, max_iter=iters,
-                                        tol=1e-14),
-                     iter_callback=lambda it: snaps.append(
-                         (it.u, it.v, it.s, it.y)))
+
+    def record(it):
+        snaps.append((it.u, it.v, it.s, it.y))
+        after_iteration()
+
+    res = solve_cpcp(y, q, cfg, iter_callback=record)
     assert len(snaps) == res.iterations + 1
     return q, y, res, snaps
 
 
+def collect(seed=7, iters=25):
+    return solve_and_collect(*planted_problem(seed, iters))
+
+
+def collect_rank_drop():
+    return solve_and_collect(*rank_drop_problem())
+
+
 class TestForwardReuse:
-    def test_two_forward_calls_per_iteration(self):
-        _, q, y = measured_problem(seed=9)
+    @pytest.mark.parametrize("case", ["planted", "rank-drop"])
+    def test_calls_per_iteration_follow_the_rank(self, case):
+        # forward(S), and forward(U V^T) unless V = 0; the product step's
+        # adjoint, and the sparse step's unless V = 0 now and before
+        if case == "planted":
+            _, q, y = measured_problem(seed=9)
+            cfg = SolverConfig(lam=2.0, d=4, max_iter=20)
+        else:
+            q, y, cfg = rank_drop_problem()
         counting = CountingOperator(q)
         calls = []
-        res = solve_cpcp(y, counting, SolverConfig(lam=2.0, d=4, max_iter=20),
-                         iter_callback=lambda it: calls.append(
-                             counting.forward_calls))
-        # none at the start, where the iterate is zero
-        assert calls == [2 * k for k in range(1, res.iterations + 1)]
+        res = solve_cpcp(y, counting, cfg, iter_callback=lambda it: calls.append(
+            (counting.forward_calls, len(counting.adjoints))))
+        ranks = [0] + [rec.rank for rec in res.trace]
+        assert ranks[1] == 0 and max(ranks) > 0
+        if case == "rank-drop":
+            assert ranks[1:8] == [0, 0, 1, 1, 1, 1, 0]
+        expected, forwards, adjoints = [], 0, 0
+        for k in range(1, len(ranks)):
+            forwards += 1 + (ranks[k] > 0)
+            adjoints += 1 + (ranks[k] > 0 or ranks[k - 1] > 0)
+            expected.append((forwards, adjoints))
+        assert calls == expected
 
     def test_product_gradient_uses_previous_iterate(self):
         # the product step of iteration k linearizes at snapshot k-1 (the
-        # forward product the solver reuses) and steps 1/alpha
-        q, y, res, snaps = collect(seed=10, iters=20)
-        for k in range(1, len(snaps)):
-            u, v, s, dual = snaps[k - 1]
-            alpha = res.trace[k - 1].alpha
-            step = 1.0 / alpha
-            t = u @ v.T
-            b = t - step * data_fit_gradient(t, s, y, dual, alpha, q)
-            u = orthonormal_factor(b @ v, u, "qr")
-            v, _ = svt((u.T @ b).T, LAM / alpha)
-            u_k, v_k = snaps[k][:2]
-            assert np.array_equal(u @ v.T, u_k @ v_k.T), k
+        # forward products the solver reuses) and steps 1/alpha
+        for q, y, res, snaps in (collect(seed=10, iters=20),
+                                 collect_rank_drop()):
+            for k in range(1, len(snaps)):
+                u, v, s, dual = snaps[k - 1]
+                alpha = res.trace[k - 1].alpha
+                step = 1.0 / alpha
+                t = u @ v.T
+                fit = q.forward(t) + q.forward(s)
+                b = t - step * (alpha * q.adjoint(fit - y - dual / alpha))
+                u = orthonormal_factor(b @ v, u, "qr")
+                v, _ = svt((u.T @ b).T, LAM / alpha)
+                u_k, v_k = snaps[k][:2]
+                assert np.array_equal(u @ v.T, u_k @ v_k.T), k
+
+    def test_gradients_match_data_fit_gradient(self):
+        # the two gradients the solver forms from forward(U V^T) and
+        # forward(S) held apart are data_fit_gradient's, up to rounding
+        for q, y, cfg in (planted_problem(10, 20), rank_drop_problem()):
+            counting = CountingOperator(q)
+            marks = [0]
+            _, _, res, snaps = solve_and_collect(
+                counting, y, cfg,
+                lambda: marks.append(len(counting.adjoints)))
+            for k in range(1, len(snaps)):
+                u_prev, v_prev, s_prev, dual = snaps[k - 1]
+                u, v = snaps[k][:2]
+                alpha = res.trace[k - 1].alpha
+                # the product step's adjoint, then the sparse step's unless
+                # the solver reused the first
+                grads = [alpha * g
+                         for g in counting.adjoints[marks[k - 1]:marks[k]]]
+                refs = (data_fit_gradient(u_prev @ v_prev.T, s_prev, y, dual,
+                                          alpha, q),
+                        data_fit_gradient(s_prev, u @ v.T, y, dual, alpha, q))
+                for got, ref in zip((grads[0], grads[-1]), refs):
+                    assert np.linalg.norm(got - ref) <= (
+                        1e-12 * np.linalg.norm(ref)), k
 
 
 class TestIterationInvariants:
     def test_product_cache_coherent(self):
         # the sparse and dual steps of iteration k use the product U V^T of
         # the factors it reports, not a stale or separately held copy
-        q, y, res, snaps = collect(seed=10, iters=20)
-        for k in range(1, len(snaps)):
-            _, _, s, dual = snaps[k - 1]
-            u_k, v_k, s_k, dual_k = snaps[k]
-            alpha = res.trace[k - 1].alpha
-            step = 1.0 / alpha
-            t = u_k @ v_k.T
-            grad_s = data_fit_gradient(s, t, y, dual, alpha, q)
-            s = soft_threshold(s - step * grad_s, 1.0 / alpha)
-            dual = dual + alpha * (y - q.forward(t + s))
-            assert np.array_equal(s, s_k), k
-            assert np.array_equal(dual, dual_k), k
+        for q, y, res, snaps in (collect(seed=10, iters=20),
+                                 collect_rank_drop()):
+            for k in range(1, len(snaps)):
+                _, _, s, dual = snaps[k - 1]
+                u_k, v_k, s_k, dual_k = snaps[k]
+                alpha = res.trace[k - 1].alpha
+                step = 1.0 / alpha
+                ft = q.forward(u_k @ v_k.T)
+                grad_s = alpha * q.adjoint(ft + q.forward(s) - y - dual / alpha)
+                s = soft_threshold(s - step * grad_s, 1.0 / alpha)
+                dual = dual + alpha * (y - (ft + q.forward(s)))
+                assert np.array_equal(s, s_k), k
+                assert np.array_equal(dual, dual_k), k
 
     def test_factor_orthonormal(self):
         _, _, _, snaps = collect()

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -9,6 +10,7 @@ from lowrank.datasets import RatingDataset, generate_planted
 from lowrank.linalg import qr_thin
 from lowrank.measurements import (
     ObservationMask,
+    SubspaceOperator,
     draw_random_subspace,
     load_mask,
     mask_project,
@@ -262,6 +264,54 @@ class TestSubspaceOperator:
             q.adjoint(np.zeros(5))
 
 
+class GatherGuard(np.ndarray):
+    """A basis whose transpose, which only the gather reads, may not be
+    read."""
+
+    @property
+    def T(self):
+        raise AssertionError("basis gathered before the input was checked")
+
+
+class TestSubspaceGather:
+    M, N = 9, 8
+    # fewer nonzeros than this take the gather; ceil(0.25 * 72) = 18
+    CUT = math.ceil(measurements.GATHER_DENSITY * M * N)
+
+    def sparse(self, k, seed=0):
+        rng = np.random.default_rng(seed)
+        a = np.zeros(self.M * self.N)
+        a[rng.choice(a.size, k, replace=False)] = rng.standard_normal(k)
+        return a.reshape(self.M, self.N)
+
+    @pytest.mark.parametrize("k", [0, 1, CUT - 1, CUT, CUT + 1])
+    def test_sparse_input_matches_dense_product(self, k):
+        q = draw_random_subspace(self.M, self.N, 40, seed=1)
+        a = self.sparse(k)
+        got, ref = q.forward(a), q.basis @ a.ravel()
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        nz = np.flatnonzero(a)
+        path = a.ravel()[nz] @ q.basis.T[nz] if k < self.CUT else ref
+        assert np.array_equal(got, path)
+
+    def test_dense_input_is_the_dense_product(self):
+        q = draw_random_subspace(self.M, self.N, 40, seed=2)
+        a = np.random.default_rng(3).standard_normal((self.M, self.N))
+        assert np.array_equal(q.forward(a), q.basis @ a.ravel())
+
+    @pytest.mark.parametrize("bad", ["inf", "shape"])
+    def test_sparse_input_checked_before_gather(self, bad):
+        q = draw_random_subspace(self.M, self.N, 40, seed=4)
+        guarded = SubspaceOperator(q.shape, q.basis.view(GatherGuard))
+        a = self.sparse(3)
+        if bad == "inf":
+            a[np.unravel_index(np.flatnonzero(a)[0], a.shape)] = np.inf
+        else:
+            a = a[:, 1:]
+        with pytest.raises(ValueError):
+            guarded.forward(a)
+
+
 class TestDrawRandomSubspace:
     def test_full_dimension_is_a_bijection(self):
         q = draw_random_subspace(3, 3, 9, seed=0)
@@ -379,11 +429,14 @@ def test_measurement_operator_contract(name):
     rng = np.random.default_rng(12)
     a = rng.standard_normal((4, 5))
     y = rng.standard_normal(op.dim)
-    assert op.forward(a).shape == (op.dim,)
+    sparse = np.zeros((4, 5))
+    sparse[1, 2], sparse[3, 0] = 2.5, -1.0
     assert op.adjoint(y).shape == (4, 5)
-    assert float(op.forward(a) @ y) == pytest.approx(
-        float(np.sum(a * op.adjoint(y))), abs=1e-12
-    )
+    for x in (a, sparse):
+        assert op.forward(x).shape == (op.dim,)
+        assert float(op.forward(x) @ y) == pytest.approx(
+            float(np.sum(x * op.adjoint(y))), abs=1e-12
+        )
     np.testing.assert_allclose(op.forward(op.adjoint(y)), y, atol=1e-12)
     for bad in (np.zeros((5, 4)), np.zeros(20), np.full((4, 5), np.nan)):
         with pytest.raises(ValueError):

@@ -67,7 +67,8 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     m, n = q.shape
 
     lam = cfg.resolve_lambda(m, n)
-    alpha = cfg.resolve_alpha0(float(np.linalg.norm(y_meas)))
+    y_norm = float(np.linalg.norm(y_meas))
+    alpha = cfg.resolve_alpha0(y_norm)
 
     d = cfg.d
     u = np.eye(m, d)
@@ -123,7 +124,8 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
                                      rank=rank))
         if iter_callback is not None:
             Iterate(trace[-1], u, v, forms).pass_to(iter_callback)
-        if k > 1 and ratio is not None and ratio < cfg.tol:
+        # y = 0: L = S = 0, the first iterate, is the optimum; its ratio is None
+        if y_norm == 0 or (ratio is not None and ratio < cfg.tol):
             termination = "converged"
             break
         alpha = min(cfg.rho * alpha, cfg.alpha_max)

@@ -22,18 +22,18 @@ Off Omega the multiplier stays zero and the target P equals the previous
 product U V^T, so P differs from that product only on Omega. The two products
 with P are therefore a rank-d term plus a product with a matrix E that is
 zero off Omega (the sparse-plus-low-rank products of Mazumder, Hastie and
-Tibshirani's Soft-Impute), and L = U V^T is needed only on Omega, where it
-is evaluated by blocks of rows: one GEMM per block that holds Omega entries,
-into one small reused buffer. Below an observed fraction |Omega| / mn of
-SPARSE_DENSITY, E is a CSR array whose values are the Omega vector itself:
-its two products cost O(|Omega| d), and the loop allocates no m x n array.
-Above the cut, E is a dense m x n buffer, the loop's one m x n array, and its
-two products are m x n GEMMs of width d. The rest is O(|Omega|) elementwise
-work on vectors held in buffers allocated once, and no vector of length
-|Omega| is allocated in the loop. The dense sparse part and multiplier are
-formed for the result, and for ``iter_callback`` only when its ``Iterate``
-view is read; a callback that reads neither leaves the run bit-identical to
-one without a callback.
+Tibshirani's Soft-Impute), and L = U V^T is needed only on Omega. One object,
+``_OmegaMatrix``, holds E and evaluates L on Omega by row blocks, one GEMM per
+block into one small reused buffer. Its constructor picks E's layout. Below
+an observed fraction |Omega| / mn of SPARSE_DENSITY, E is a CSR array whose
+values are the Omega vector itself: its two products cost O(|Omega| d), and
+the loop allocates no m x n array. Above the cut, E is a dense m x n buffer,
+the loop's one m x n array, and its products are GEMMs of width d. The rest
+is O(|Omega|) elementwise work on vectors held in buffers allocated once,
+and no vector of length |Omega| is allocated in the loop. The dense sparse
+part and multiplier are formed for the result, and for ``iter_callback`` only
+when its ``Iterate`` view is read; a callback that reads neither leaves the
+run bit-identical to one without a callback.
 
 Every solve opens with V = 0, and V stays zero until the threshold
 lambda / alpha falls below the top singular value of E^T U. Robust completion
@@ -153,69 +153,81 @@ def _rank_truncation_basis(v, new_d):
     return eigvecs[:, order[:new_d]]
 
 
-def _omega_matrix(mask, csr):
-    """An m x n matrix E that is zero off Omega, kept with its Omega values,
-    and the evaluation of L = U V^T on Omega.
-
-    Returns ``(values, load, low_rank)``: the caller writes E on Omega, in the
-    mask's row-major order, into ``values``, and ``load()`` returns E and E^T
-    ready for products. ``low_rank(u, v, out)`` writes U V^T on Omega into
-    ``out``.
+class _OmegaMatrix:
+    """E, an m x n matrix that is zero off Omega and rewritten on Omega each
+    iteration, and the evaluation of L = U V^T on Omega. The constructor
+    alone picks E's layout, as the module docstring describes, and allocates
+    every buffer the methods write, so none allocates a vector of length
+    |Omega| or an m x n array.
 
     U V^T is evaluated by blocks of rows, one GEMM per block that holds Omega
     entries, into one buffer of about BLOCK_ENTRIES entries; the block bounds
     in Omega and the block-local indices are computed here, in O(|Omega|)
-    memory. With ``csr``, E is a CSR array whose ``data`` is ``values`` and
-    E^T a CSC view of the same array, so loading is free and each product
-    costs O(|Omega| d). Otherwise E is a dense m x n buffer, zeroed once, that
-    ``load`` writes at Omega, and each product is a dense GEMM.
+    memory.
     """
-    m, n = mask.shape
-    flat = mask.flat_indices
-    # flat is row-major, so it lists Omega in CSR order
-    indptr = np.searchsorted(flat, np.arange(0, m * n + 1, n))
-    rows = max(1, BLOCK_ENTRIES // n)
-    starts = np.arange(0, m, rows)
-    bounds = indptr[np.append(starts, m)]   # each block's span of Omega
-    # flat index minus the flat index of its block's first entry
-    local = flat - np.repeat(starts * n, np.diff(bounds))
-    buffer = np.empty((min(rows, m), n))
-    # (rows, Omega span, block-local indices, buffer view) of each block that
-    # holds Omega entries
-    blocks = [(slice(r0, r1), slice(lo, hi), local[lo:hi], buffer[:r1 - r0])
-              for r0, r1, lo, hi in zip(
-                  starts.tolist(), np.minimum(starts + rows, m).tolist(),
-                  bounds[:-1].tolist(), bounds[1:].tolist()) if lo < hi]
 
-    def low_rank(u, v, out):
-        for block_rows, span, indices, block in blocks:
+    def __init__(self, mask):
+        m, n = mask.shape
+        flat = self._flat = mask.flat_indices
+        # flat is row-major, so it lists Omega in CSR order
+        indptr = self._indptr = np.searchsorted(flat,
+                                                np.arange(0, m * n + 1, n))
+        rows = max(1, BLOCK_ENTRIES // n)
+        starts = np.arange(0, m, rows)
+        bounds = indptr[np.append(starts, m)]   # each block's span of Omega
+        # flat index minus the flat index of its block's first entry
+        local = flat - np.repeat(starts * n, np.diff(bounds))
+        buffer = np.empty((min(rows, m), n))
+        # (rows, Omega span, block-local indices, buffer view) of each block
+        # that holds Omega entries
+        self._blocks = [
+            (slice(r0, r1), slice(lo, hi), local[lo:hi], buffer[:r1 - r0])
+            for r0, r1, lo, hi in zip(
+                starts.tolist(), np.minimum(starts + rows, m).tolist(),
+                bounds[:-1].tolist(), bounds[1:].tolist()) if lo < hi]
+        if mask.dim < SPARSE_DENSITY * m * n:
+            e = csr_array((np.zeros(flat.size), flat % n, indptr), shape=(m, n))
+            self._values, self._dense = e.data, None
+        else:
+            e = np.zeros((m, n))
+            self._values, self._dense = np.zeros(flat.size), e.reshape(-1)
+        self._e, self._e_t = e, e.T
+        if self._dense is None and not np.shares_memory(self._e_t.data, e.data):
+            raise RuntimeError("the CSC transpose does not share the CSR values")
+
+    def load(self, gap, scaled):
+        """Write E = ``gap`` + ``scaled`` on Omega; return E and E^T."""
+        np.add(gap, scaled, out=self._values)
+        if self._dense is not None:
+            self._dense[self._flat] = self._values
+        return self._e, self._e_t
+
+    def start_product(self, gap, scaled, d):
+        """E^T np.eye(m, d), with E = ``gap`` + ``scaled`` formed on the Omega
+        entries of its first d rows only."""
+        head = self._indptr[d]
+        np.add(gap[:head], scaled[:head], out=self._values[:head])
+        # the flat indices of the first d rows index a d x n matrix
+        rows = np.zeros((d, self._e.shape[1]))
+        rows.reshape(-1)[self._flat[:head]] = self._values[:head]
+        return rows.T
+
+    def low_rank(self, u, v, out):
+        """Write U V^T on Omega into ``out``."""
+        for block_rows, span, indices, block in self._blocks:
             np.matmul(u[block_rows], v.T, out=block)
             # indices in range: mode="clip" lets take write out unbuffered
             np.take(block.reshape(-1), indices, out=out[span], mode="clip")
 
-    if csr:
-        e = csr_array((np.zeros(flat.size), flat % n, indptr), shape=(m, n))
-        e_t = e.T
-        if not np.shares_memory(e_t.data, e.data):
-            raise RuntimeError("the CSC transpose does not share the CSR values")
-        return e.data, lambda: (e, e_t), low_rank
-
-    e = np.zeros((m, n))
-    values = np.zeros(flat.size)
-
-    def load():
-        e.reshape(-1)[flat] = values
-        return e, e.T
-
-    return values, load, low_rank
-
-
-def _norm_2(e):
-    """||E||_2 of a dense or CSR matrix with min(m, n) >= 2, by ARPACK from
-    a seeded start vector: ARPACK's own start is random, and a rerun of a solve
-    must be bit-identical."""
-    start = np.random.default_rng(0).standard_normal(min(e.shape))
-    return float(svds(e, k=1, v0=start, return_singular_vectors=False)[0])
+    def norm_2(self, data):
+        """||D on Omega||_2 for the Omega values ``data``: the Frobenius norm
+        of a 1 x n or m x 1 matrix, else ARPACK's from a seeded start vector,
+        as ARPACK's own is random and a rerun must be bit-identical."""
+        if min(self._e.shape) == 1:
+            return float(np.linalg.norm(data))
+        start = np.random.default_rng(0).standard_normal(min(self._e.shape))
+        return float(svds(self.load(data, 0.0)[0], k=1, v0=start,
+                          return_singular_vectors=False)[0])
 
 
 def _product_change(u, v, u_prev, v_prev):
@@ -252,15 +264,15 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
       place of S, and S is zero;
     - ``stop(u, v, u_prev, v_prev)``: a stopping test besides the residual.
 
-    The next iteration's E = P - L on Omega is (Z - L) + Y / alpha, formed
-    from ``gap``. While V = 0 (``rank``, the size of ``svt``'s shrunk values,
-    is 0) the factor update and the evaluation of L are skipped, and while U
-    is also the start factor E^T U is read off the Omega entries of E's first
-    d rows, the only entries of E formed then: such an iteration costs
-    O(|Omega|) and one n x d SVD, not O(|Omega| d) or mn d products. The
-    Omega vectors live in buffers allocated once, so an iteration allocates
-    none of length |Omega|, and its one SVD is the one inside ``svt``, whose
-    shrunk singular values give the nuclear norm of V and the rank recorded.
+    The next iteration's E = P - L on Omega is (Z - L) + Y / alpha, which
+    ``_OmegaMatrix.load`` writes from ``gap``. While V = 0 (``rank``, the
+    size of ``svt``'s shrunk values, is 0) the factor update and the
+    evaluation of L are skipped, and while U is also the start factor
+    ``start_product`` reads E^T U off the Omega entries of E's first d rows,
+    the only entries of E formed then: such an iteration costs O(|Omega|)
+    and one n x d SVD, not O(|Omega| d) or mn d products. Every buffer is
+    allocated once, so an iteration allocates no vector of length |Omega|;
+    its one SVD is inside ``svt``, whose shrunk values give V's nuclear norm.
     ``iter_callback`` receives an ``Iterate`` view over these buffers, which
     forms the m x n S and Y only when read.
     """
@@ -281,21 +293,10 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     # Factors of the product that P equals off Omega; the rank adjustment
     # truncates U and V but not these.
     u_prev, v_prev = u, v
-    # E = P - U_prev V_prev^T is zero off Omega; ``values`` holds it on Omega
-    values, load, low_rank = _omega_matrix(mask,
-                                           mask.dim < SPARSE_DENSITY * m * n)
-
-    def data_norm_2():
-        # before iteration 1 Y = 0 and Z = D, so E is D on Omega
-        values[:] = data
-        return obs_norm if min(m, n) == 1 else _norm_2(load()[0])
-
-    alpha = cfg.resolve_alpha0(obs_norm, lam, data_norm_2 if robust else None)
-    # E^T times the start factor is the first d rows of E, transposed: the
-    # first ``head`` Omega entries, at these flat indices of an n x d matrix
-    head = int(np.searchsorted(mask.flat_indices, d * n))
-    rows, cols = np.divmod(mask.flat_indices[:head], n)
-    spots = cols * d + rows
+    # E = P - U_prev V_prev^T, zero off Omega
+    omega = _OmegaMatrix(mask)
+    alpha = cfg.resolve_alpha0(
+        obs_norm, lam, (lambda: omega.norm_2(data)) if robust else None)
     y = np.zeros_like(data)
     low = np.zeros_like(data)      # U_prev V_prev^T on Omega
     gap = data.copy()              # Z - U_prev V_prev^T on Omega; Z starts at D
@@ -321,20 +322,17 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
         # While V = 0, P V = 0 and the factor update would carry U over, so
         # U stays the start factor and E^T U needs E on the first d rows only.
         if rank or u is not start:
-            np.add(gap, scaled, out=values)
-            e, e_t = load()
+            e, e_t = omega.load(gap, scaled)
             if rank:
                 u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u,
                                        u_scheme)
             e_t_u = e_t @ u
         else:
-            np.add(gap[:head], scaled[:head], out=values[:head])
-            e_t_u = np.zeros((n, d))
-            e_t_u.reshape(-1)[spots] = values[:head]
+            e_t_u = omega.start_product(gap, scaled, d)
         v, shrunk = svt(v_prev @ (u_prev.T @ u) + e_t_u, lam / alpha)
         rank = shrunk.size
         if rank:
-            low_rank(u, v, low)
+            omega.low_rank(u, v, low)
         else:
             low.fill(0.0)
         data_term = step(data, low, y, scaled, alpha, gap, work)
@@ -393,11 +391,11 @@ def solve_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
                  iter_callback=iter_callback)
 
 
-def solve_rpca(d_obs, cfg, u_scheme="qr", iter_callback=None):
+def solve_rpca(d_obs, cfg, iter_callback=None):
     """RPCA: the fully observed special case of robust matrix completion."""
     d_obs = check_matrix(d_obs, "observed data")
     full = ObservationMask.full(*d_obs.shape)
-    return solve_rmc(d_obs, full, cfg, u_scheme=u_scheme, iter_callback=iter_callback)
+    return solve_rmc(d_obs, full, cfg, iter_callback=iter_callback)
 
 
 def solve_mc(d_obs, mask, cfg, iter_callback=None):

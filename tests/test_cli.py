@@ -430,6 +430,20 @@ class TestSolveCommands:
         header = (est / "trace.csv").read_text().splitlines()[0]
         assert "stop_ratio" in header
 
+    def test_cpcp_zero_measurements_converge(self, tmp_path, capsys):
+        meas = tmp_path / "y.txt"
+        save_matrix(meas, np.zeros((12, 1)))
+        est = tmp_path / "est"
+        code = run("cpcp", "--measurements", str(meas), "--rows", "4",
+                   "--cols", "4", "--subspace-seed", "5",
+                   "--subspace-dim", "12", "--rank", "2",
+                   "--out-dir", str(est))
+        assert code == 0
+        assert "termination=converged iters=1 " in capsys.readouterr().out
+        assert not np.any(load_matrix(est / "V.txt"))
+        assert not np.any(load_matrix(est / "S.txt"))
+        assert len((est / "trace.csv").read_text().splitlines()) == 2
+
 
 class Captured(Exception):
     """Raised in place of a solve, carrying the SolverConfig it was given."""

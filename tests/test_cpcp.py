@@ -24,6 +24,9 @@ class TestSolveCpcp:
     def test_zero_measurements_give_zero_solution(self):
         q = draw_random_subspace(6, 6, 12, seed=0)
         res = solve_cpcp(np.zeros(12), q, SolverConfig(lam=1.0, d=2))
+        # L = S = 0 is the unique optimum, reached at iteration 1
+        assert res.termination == "converged"
+        assert res.iterations == 1
         assert np.all(res.low_rank() == 0)
         assert np.all(res.s == 0)
 

@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 import lowrank.rmc as rmc
 from lowrank.config import (
@@ -31,7 +32,7 @@ from lowrank.rmc import (
     BLOCK_ENTRIES,
     RANK_ADJUST_START,
     SPARSE_DENSITY,
-    _omega_matrix,
+    _OmegaMatrix,
     _product_change,
     _rank_truncation_basis,
     adjust_rank_once,
@@ -441,38 +442,78 @@ def _masks():
     }
 
 
+# SPARSE_DENSITY set to each of these makes the constructor pick the layout
+LAYOUT_CUTS = {"csr": np.inf, "dense": 0.0}
+
+
+def _layout(cut, mask, monkeypatch):
+    """An _OmegaMatrix over ``mask`` built with SPARSE_DENSITY = ``cut``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(rmc, "SPARSE_DENSITY", cut)
+        return _OmegaMatrix(mask)
+
+
+def _is_csr(omega, mask):
+    e, _ = omega.load(np.zeros(mask.dim), np.zeros(mask.dim))
+    return issparse(e)
+
+
 @pytest.mark.parametrize("name", sorted(_masks()))
-def test_csr_products_match_dense_buffer(name):
+def test_csr_products_match_dense_buffer(name, monkeypatch):
     marker = _masks()[name]
     m, n = marker.shape
     flat = np.flatnonzero(marker)
+    mask = ObservationMask(marker)
     if name == "just below the cut":
         assert flat.size < SPARSE_DENSITY * m * n
+        assert _is_csr(_OmegaMatrix(mask), mask)
     if name == "just above the cut":
         assert flat.size >= SPARSE_DENSITY * m * n
+        assert not _is_csr(_OmegaMatrix(mask), mask)
     rng = np.random.default_rng(flat.size)
-    mask = ObservationMask(marker)
-    dense_values, dense_load, dense_low_rank = _omega_matrix(mask, csr=False)
-    csr_values, csr_load, csr_low_rank = _omega_matrix(mask, csr=True)
+    dense = _layout(LAYOUT_CUTS["dense"], mask, monkeypatch)
+    csr = _layout(LAYOUT_CUTS["csr"], mask, monkeypatch)
+    assert _is_csr(csr, mask) and not _is_csr(dense, mask)
     for _ in range(3):   # the values are rewritten in place every iteration
-        values = rng.standard_normal(flat.size)
-        dense_values[:] = values
-        csr_values[:] = values
+        gap, scaled = rng.standard_normal((2, flat.size))
         v = rng.standard_normal((n, 4))
         u = np.linalg.qr(rng.standard_normal((m, 4)))[0]
-        e, e_t = dense_load()
+        e, e_t = dense.load(gap, scaled)
         np.testing.assert_array_equal(e, np.where(marker, e, 0.0))
-        assert np.array_equal(e.reshape(-1)[flat], values)
-        s, s_t = csr_load()
+        assert np.array_equal(e.reshape(-1)[flat], gap + scaled)
+        s, s_t = csr.load(gap, scaled)
         for got, want in ((s @ v, e @ v), (s_t @ u, e_t @ u)):
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # L = U V^T on Omega
         want = (u @ v.T).reshape(-1)[flat]
-        for low_rank in (dense_low_rank, csr_low_rank):
+        for omega in (dense, csr):
             got = np.full(flat.size, np.nan)
-            low_rank(u, v, got)
+            omega.low_rank(u, v, got)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUT_CUTS))
+@pytest.mark.parametrize("name", ["empty rows and columns",
+                                  "just below the cut", "just above the cut"])
+def test_norm_2_is_the_spectral_norm_on_omega(name, layout, monkeypatch):
+    mask = ObservationMask(_masks()[name])
+    data = np.random.default_rng(mask.dim).standard_normal(mask.dim)
+    omega = _layout(LAYOUT_CUTS[layout], mask, monkeypatch)
+    want = np.linalg.norm(mask.adjoint(data), 2)
+    assert abs(omega.norm_2(data) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUT_CUTS))
+@pytest.mark.parametrize("shape", [(1, 30), (30, 1)])
+def test_norm_2_of_a_vector_is_its_frobenius_norm(shape, layout, monkeypatch):
+    marker = np.random.default_rng(3).random(shape) < 0.6
+    mask = ObservationMask(marker)
+    data = np.random.default_rng(4).standard_normal(mask.dim)
+    omega = _layout(LAYOUT_CUTS[layout], mask, monkeypatch)
+    assert omega.norm_2(data) == float(np.linalg.norm(data))
+    assert omega.norm_2(data) == pytest.approx(
+        np.linalg.norm(mask.adjoint(data)), rel=1e-12)
 
 
 # While V = 0 the driver skips the factor update and L = U V^T on Omega, and
@@ -517,27 +558,31 @@ def test_start_factor_product_equals_dense_product(name, monkeypatch):
     assert_path(mask, name.startswith("csr"))
     rng = np.random.default_rng(2)
     d_obs = rng.standard_normal((m, 2)) @ rng.standard_normal((n, 2)).T
-    layout = {}
-    real_omega_matrix, real_svt = rmc._omega_matrix, rmc.svt
+    real_start_product, real_svt = _OmegaMatrix.start_product, rmc.svt
+    products = []
 
-    def omega_matrix(mask, csr):
-        values, layout["load"], low_rank = real_omega_matrix(mask, csr)
-        return values, layout["load"], low_rank
+    def start_product(self, gap, scaled, d):
+        out = real_start_product(self, gap, scaled, d)
+        # E on every Omega entry, in a second object of the same layout: the
+        # rows below the first d meet zeros of the start factor
+        _, e_t = _OmegaMatrix(mask).load(gap, scaled)
+        products.append((out.copy(), e_t @ np.eye(m, d)))
+        return out
 
     ranks, checked = [], []
 
     def checked_svt(a, mu):
         if not any(ranks):   # every V so far is 0: U is the start factor
-            # the values on rows below the first d are stale, but they meet
-            # zeros of the start factor
-            _, e_t = layout["load"]()
-            assert np.array_equal(a, e_t @ np.eye(m, D_START)), len(ranks)
+            assert len(products) == len(ranks) + 1, len(ranks)
+            got, want = products[-1]
+            assert np.array_equal(got, want), len(ranks)
+            assert np.array_equal(a, want), len(ranks)
             checked.append(len(ranks))
         out = real_svt(a, mu)
         ranks.append(out[1].size)
         return out
 
-    monkeypatch.setattr(rmc, "_omega_matrix", omega_matrix)
+    monkeypatch.setattr(_OmegaMatrix, "start_product", start_product)
     monkeypatch.setattr(rmc, "svt", checked_svt)
     res = solve_rmc(d_obs, mask, SolverConfig(lam=3.0, d=D_START, max_iter=12,
                                               alpha0=_frobenius_start(d_obs,

@@ -229,22 +229,33 @@ def _load_test_triplets(path):
     return list(zip(users.tolist(), items.tolist(), values.tolist()))
 
 
+def _masked_auc(s_hat, s_ref, mask):
+    return auc(np.abs(mask.forward(s_hat)), mask.forward(s_ref) != 0)
+
+
 def cmd_eval(args):
+    # A file that fails to read or parse exits 1 through main.
     if args.metric == "relerr":
-        l_hat = _load_estimate_low_rank(args.estimate_dir)
-        l_ref = load_matrix(os.path.join(args.truth_dir, "l0.txt"))
-        value = relative_error(l_hat, l_ref)
+        score = relative_error
+        inputs = (_load_estimate_low_rank(args.estimate_dir),
+                  load_matrix(os.path.join(args.truth_dir, "l0.txt")))
     elif args.metric == "auc":
-        s_hat = load_matrix(os.path.join(args.estimate_dir, "S.txt"))
-        s_ref = load_matrix(os.path.join(args.truth_dir, "s0.txt"))
-        mask = load_mask(os.path.join(args.truth_dir, "mask.txt"))
-        value = auc(np.abs(mask.forward(s_hat)), mask.forward(s_ref) != 0)
+        score = _masked_auc
+        inputs = (load_matrix(os.path.join(args.estimate_dir, "S.txt")),
+                  load_matrix(os.path.join(args.truth_dir, "s0.txt")),
+                  load_mask(os.path.join(args.truth_dir, "mask.txt")))
     else:
         if args.test_file is None:
             print("error: --test-file is required for rmse", file=sys.stderr)
             return 2
-        predicted = _load_estimate_low_rank(args.estimate_dir)
-        value = rmse(predicted, _load_test_triplets(args.test_file))
+        score = rmse
+        inputs = (_load_estimate_low_rank(args.estimate_dir),
+                  _load_test_triplets(args.test_file))
+    try:
+        value = score(*inputs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"metric={args.metric} value={value:.6g}")
     return 0
 

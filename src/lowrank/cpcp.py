@@ -95,7 +95,8 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         step = 1.0 / alpha
         grad_t = alpha * q.adjoint(fit - y_meas - dual / alpha)
         b = t - step * grad_t
-        u = orthonormal_factor(b @ v, u, "qr")
+        if rank_prev:                # else V = 0 and B V = 0: U is kept
+            u = orthonormal_factor(b @ v, "qr")
         # SVT of the d x n step target, applied in its n x d orientation
         # (unitarily equivalent) so the small side carries the thresholding.
         v, shrunk = svt((u.T @ b).T, lam / alpha)

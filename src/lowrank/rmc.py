@@ -56,19 +56,12 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import svds
 
 # perfbench/tracing.py patches these names in this module, mask_project,
-# soft_threshold and nuclear_norm included, so they stay importable from it;
-# the solvers do not call those three.
+# soft_threshold, svd_thin and nuclear_norm included, so they stay importable
+# from it; the solvers do not call those four.
 from .config import Iterate, IterationRecord, SolveResult
-from .linalg import check_matrix, qr_thin, svd_thin
+from .linalg import check_matrix, qr_thin, svd_thin  # noqa: F401
 from .measurements import ObservationMask, mask_project  # noqa: F401
 from .prox import soft_threshold, svt  # noqa: F401
-
-# Threshold below which the factor-update input is considered all-zero and
-# the orthonormal factor is carried over unchanged (both update schemes must
-# handle this degenerate case identically for their iterates to match). The
-# driver skips the update while V = 0, so only a nonzero V whose P V is
-# numerically zero reaches it.
-_DEGENERATE = 1e-300
 
 # Below this observed fraction |Omega| / mn the two products with the
 # Omega-supported matrix E are taken in CSR form; above it dense BLAS on an
@@ -96,26 +89,16 @@ def nuclear_norm(a):
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def orthonormal_factor(p_times_v, previous, scheme):
-    """Update the orthonormal factor from the m x d product target.
-
-    scheme "qr": orthonormal basis of the column span via thin QR.
-    scheme "svd": the polar factor (closest orthonormal matrix). Both give
-    identical products with the subsequent thresholded right factor.
-    """
-    if np.max(np.abs(p_times_v), initial=0.0) < _DEGENERATE:
-        return previous
+def orthonormal_factor(p_times_v, scheme):
+    """A new orthonormal basis from the m x d product target P V: the Q of
+    its thin QR (scheme "qr") or its polar factor W Z^T, from its thin SVD
+    W Sigma Z^T (scheme "svd"). The products with the next thresholded right
+    factor are identical while P V has rank d; below it each scheme completes
+    the basis with trailing columns of its own."""
     if scheme == "qr":
         return qr_thin(p_times_v).q
-    if scheme == "svd":
-        f = svd_thin(p_times_v)
-        d = p_times_v.shape[1]
-        if f.rank < d:
-            # Rank-deficient polar factor is not unique; keep the carried
-            # basis so both schemes stay comparable.
-            return previous
-        return f.u @ f.v.T
-    raise ValueError(f"unknown factor update scheme {scheme!r}")
+    w, _, z_t = np.linalg.svd(p_times_v, full_matrices=False)
+    return w @ z_t
 
 
 def adjust_rank_once(v, current_d):
@@ -319,12 +302,12 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
 
     for k in range(1, cfg.max_iter + 1):
         np.divide(y, alpha, out=scaled)
-        # While V = 0, P V = 0 and the factor update would carry U over, so
-        # U stays the start factor and E^T U needs E on the first d rows only.
+        # While V = 0, P V = 0 and the factor update is skipped, so U stays
+        # the start factor and E^T U needs E on the first d rows only.
         if rank or u is not start:
             e, e_t = omega.load(gap, scaled)
             if rank:
-                u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u,
+                u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v,
                                        u_scheme)
             e_t_u = e_t @ u
         else:
@@ -368,11 +351,12 @@ def solve_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
     """Robust matrix completion: sparse errors plus trace-norm factor penalty.
 
     ``d_obs`` is the observed data; entries off the mask are ignored.
-    ``u_scheme`` selects the QR or the SVD (polar) factor update; the two
-    produce identical products. ``iter_callback(it)`` is invoked after each
-    iteration's dual update, for diagnostics, with an ``Iterate`` view whose
-    S and Y are m x n matrices, formed only when read: off the mask S is the
-    exact fill-in -U V^T and Y is zero. The returned S is zero off the mask.
+    ``u_scheme`` selects the QR ("qr") or the polar ("svd") factor update,
+    as ``orthonormal_factor`` describes. ``iter_callback(it)`` is invoked
+    after each iteration's dual update, for diagnostics, with an ``Iterate``
+    view whose S and Y are m x n matrices, formed only when read: off the
+    mask S is the exact fill-in -U V^T and Y is zero. The returned S is zero
+    off the mask.
     """
     def step(data, low, y, scaled, alpha, gap, work):
         # W = D - L + Y/alpha and C = clip(W, +-1/alpha): S = W - C is the
@@ -387,6 +371,8 @@ def solve_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
         gap -= scaled
         return float(np.abs(work, out=scaled).sum())   # ||S||_1
 
+    if u_scheme not in ("qr", "svd"):
+        raise ValueError(f"unknown factor update scheme {u_scheme!r}")
     return _admm(d_obs, mask, cfg, step, robust=True, u_scheme=u_scheme,
                  iter_callback=iter_callback)
 

@@ -640,9 +640,31 @@ class TestEval:
         code = run("eval", "--estimate-dir", str(est),
                    "--truth-dir", str(est), "--metric", "rmse",
                    "--test-file", str(test_file))
-        assert code == 1
+        assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         u, i, value = bad.split()
         assert captured.err.startswith("error: ")
         assert f"({u}, {i}, {value})" in captured.err
+
+    @pytest.mark.parametrize("metric", ["relerr", "auc"])
+    def test_shape_mismatch_is_invalid_input(self, tmp_path, capsys, metric):
+        truth = synth(tmp_path, rows=20, cols=15)
+        est = synth(tmp_path, name="est", rows=15, cols=20)
+        save_estimate(est, load_matrix(est / "l0.txt"))
+        save_matrix(est / "S.txt", load_matrix(est / "s0.txt"))
+        code = run("eval", "--estimate-dir", str(est),
+                   "--truth-dir", str(truth), "--metric", metric)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("metric", ["relerr", "auc"])
+    def test_missing_estimate_file_is_io_error(self, tmp_path, capsys,
+                                               metric):
+        truth = synth(tmp_path)
+        code = run("eval", "--estimate-dir", str(tmp_path / "absent"),
+                   "--truth-dir", str(truth), "--metric", metric)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")

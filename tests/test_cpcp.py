@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import lowrank.cpcp as cpcp
 from lowrank.config import SolverConfig
 from lowrank.cpcp import data_fit_gradient, solve_cpcp
 from lowrank.datasets import generate_planted
@@ -175,6 +176,20 @@ class TestForwardReuse:
             expected.append((forwards, adjoints))
         assert calls == expected
 
+    def test_factor_update_runs_only_after_nonzero_v(self, monkeypatch):
+        calls = []
+        real = cpcp.orthonormal_factor
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cpcp, "orthonormal_factor", counted)
+        _, _, res, _ = collect_rank_drop()
+        ranks = [rec.rank for rec in res.trace]
+        assert ranks[:7] == [0, 0, 1, 1, 1, 1, 0]
+        assert len(calls) == sum(rank > 0 for rank in ranks[:-1])
+
     def test_product_gradient_uses_previous_iterate(self):
         # the product step of iteration k linearizes at snapshot k-1 (the
         # forward products the solver reuses) and steps 1/alpha
@@ -187,7 +202,8 @@ class TestForwardReuse:
                 t = u @ v.T
                 fit = q.forward(t) + q.forward(s)
                 b = t - step * (alpha * q.adjoint(fit - y - dual / alpha))
-                u = orthonormal_factor(b @ v, u, "qr")
+                if v.any():
+                    u = orthonormal_factor(b @ v, "qr")
                 v, _ = svt((u.T @ b).T, LAM / alpha)
                 u_k, v_k = snaps[k][:2]
                 assert np.array_equal(u @ v.T, u_k @ v_k.T), k

@@ -85,7 +85,8 @@ def dense_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
     adjusted, trace = False, []
     for k in range(1, cfg.max_iter + 1):
         p = data - s + y / alpha
-        u = orthonormal_factor(p @ v, u, u_scheme)
+        if v.any():
+            u = orthonormal_factor(p @ v, u_scheme)
         v, _ = svt(p.T @ u, lam / alpha)
         low_rank = u @ v.T
         a = data - low_rank + y / alpha
@@ -119,7 +120,8 @@ def dense_mc(d_obs, mask, cfg, iter_callback=None):
     for k in range(1, cfg.max_iter + 1):
         prev_low_rank = low_rank
         p = aux + y / alpha
-        u = orthonormal_factor(p @ v, u, "qr")
+        if v.any():
+            u = orthonormal_factor(p @ v, "qr")
         v, _ = svt(p.T @ u, lam / alpha)
         low_rank = u @ v.T
         aux = np.where(marker, (data + alpha * low_rank - y) / (1.0 + alpha),

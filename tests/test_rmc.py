@@ -160,6 +160,27 @@ class TestSchemeEquivalence:
             assert np.linalg.norm(s1 - s2) <= 1e-8
             assert np.linalg.norm(y1 - y2) <= 1e-8
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_svd_update_recovers_above_the_true_rank(self, seed):
+        # criterion 01's instances: d = 10 exceeds the true rank 5, so P V
+        # loses rank and the polar factor completes the basis itself
+        p = planted(m=200, n=200, r=5, spike_frac=0.1, obs_frac=0.7,
+                    seed=seed)
+        res = solve_rmc(p.d_obs, p.mask, SolverConfig(lam=np.sqrt(200.0),
+                                                      d=10), u_scheme="svd")
+        assert res.termination == "converged"
+        assert not np.array_equal(res.u, np.eye(200, 10))
+        assert relative_error(res.low_rank(), p.l0) <= 1e-2
+
+    @pytest.mark.parametrize("lam", ["auto", 2.0])
+    def test_unknown_scheme_rejected_before_the_first_iteration(self, lam):
+        p = planted(m=40, n=30, r=2, obs_frac=0.8, seed=1)
+        seen = []
+        with pytest.raises(ValueError, match="'QR'"):
+            solve_rmc(p.d_obs, p.mask, SolverConfig(lam=lam, d=3),
+                      u_scheme="QR", iter_callback=seen.append)
+        assert seen == []
+
 
 def spectral_start(d_obs, mask, lam):
     """SPECTRAL_START * lambda / ||D on Omega||_2, by LAPACK's 2-norm."""

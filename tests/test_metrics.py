@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from lowrank.metrics import auc, relative_error, rmse
+from lowrank.metrics import _average_ranks, auc, relative_error, rmse
 
 
 def auc_by_pair_counting(scores, labels):
@@ -76,6 +77,41 @@ class TestRmse:
             rmse(np.zeros((2, 3)), [(0, 0, 1.0), bad, (1, 2, 1.0)])
 
 
+def _tied_with_infinities():
+    rng = np.random.default_rng(4)
+    values = rng.integers(0, 4, 40).astype(float)
+    values[[3, 17]] = np.inf
+    values[[5, 29, 30]] = -np.inf
+    return values
+
+
+class TestAverageRanks:
+    """The numpy ranks equal scipy's average ranks bit for bit: each rank is
+    a half-integer, which float64 holds exactly."""
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(3).standard_normal(50),
+        np.round(np.random.default_rng(3).standard_normal(50), 0),
+        np.full(7, 2.5),
+        np.array([4.0]),
+        np.array([np.inf, 1.0, -np.inf, 1.0, np.inf, -np.inf, 0.0]),
+        _tied_with_infinities(),
+    ], ids=["untied", "tied", "all-equal", "single", "infinities",
+            "tied-infinities"])
+    def test_equals_scipy_rankdata(self, values):
+        assert np.array_equal(_average_ranks(values), rankdata(values))
+
+    def test_equals_scipy_rankdata_at_benchmark_size(self):
+        # 200k scores, 90% tied at zero, as |S| on Omega at 1000^2, 20% seen
+        rng = np.random.default_rng(5)
+        values = np.where(rng.random(200_000) < 0.9, 0.0, rng.random(200_000))
+        assert np.array_equal(_average_ranks(values), rankdata(values))
+
+    def test_hand_example(self):
+        assert _average_ranks(np.array([3.0, 1.0, 3.0, 2.0])).tolist() == \
+            [3.5, 1.0, 3.5, 2.0]
+
+
 class TestAuc:
     def test_perfect_separation(self):
         assert auc([3.0, 2.0, 1.0, 0.5], [True, True, False, False]) == 1.0
@@ -102,6 +138,31 @@ class TestAuc:
             assert auc(scores, labels) == pytest.approx(
                 auc_by_pair_counting(scores, labels), abs=1e-12
             )
+
+    def test_matches_pair_counting_oracle_on_heavy_ties(self):
+        rng = np.random.default_rng(6)
+        for trial in range(5):
+            labels = rng.random(120) < 0.4
+            labels[0], labels[1] = True, False
+            scores = rng.integers(0, 3, 120) + labels.astype(float)
+            assert auc(scores, labels) == pytest.approx(
+                auc_by_pair_counting(scores, labels), abs=1e-12
+            )
+
+    def test_infinite_scores_rank_at_the_ends(self):
+        scores = _tied_with_infinities()
+        labels = np.arange(scores.size) % 3 == 0
+        assert auc(scores, labels) == pytest.approx(
+            auc_by_pair_counting(scores, labels), abs=1e-12
+        )
+        assert auc([np.inf, 1.0, -np.inf], [True, False, False]) == 1.0
+
+    @pytest.mark.parametrize("position", [0, 2, 3])
+    def test_nan_score_rejected(self, position):
+        scores = [0.5, 0.1, 0.9, 0.3]
+        scores[position] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            auc(scores, [True, False, True, False])
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=4,

@@ -1,4 +1,5 @@
-"""Every script imports and runs, and every exported name resolves.
+"""Every script imports and runs, every exported name resolves, and the
+package loads no scipy subpackage beyond the linear algebra it uses.
 
 The scripts under ``scripts/`` import from ``lowrank`` at module level, so a
 name removed from the package breaks them only when they run. Importing each
@@ -8,6 +9,9 @@ behind.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +19,8 @@ import pytest
 
 import lowrank
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 # Arguments that run each script's main in about a second.
 TINY_ARGS = {
@@ -54,3 +59,26 @@ def test_script_runs_at_tiny_size(path, capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", lowrank.__all__)
 def test_exported_name_resolves(name):
     assert hasattr(lowrank, name), f"lowrank.__all__ lists missing {name}"
+
+
+def scipy_subpackages_loaded(imports):
+    """Public ``scipy.*`` subpackages in sys.modules after a fresh
+    interpreter runs ``imports``; it imports the checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    listing = ("import sys; print(*{'.'.join(name.split('.')[:2]) "
+               "for name in sys.modules if name.startswith('scipy.') "
+               "and not name.split('.')[1].startswith('_')})")
+    proc = subprocess.run([sys.executable, "-c", f"{imports}; {listing}"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_loads_only_the_scipy_it_uses():
+    # Measured against what scipy.linalg and scipy.sparse.linalg pull in
+    # themselves, so the check holds across scipy versions.
+    loaded = scipy_subpackages_loaded("import lowrank, lowrank.cli")
+    allowed = scipy_subpackages_loaded("import scipy.linalg, scipy.sparse.linalg")
+    extra = sorted(loaded - allowed)
+    assert not extra, f"import lowrank loads {', '.join(extra)}"

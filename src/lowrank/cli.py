@@ -2,8 +2,9 @@
 
 Subcommands: synth (planted problem files), rmc / rpca / mc / cpcp (solver
 runs writing U.txt, V.txt, S.txt and trace.csv, whose one header is
-iter,residual,objective,alpha,d,stop_ratio,rank with stop_ratio blank where
-the solver records none; cpcp reads a p x 1 measurements file), eval
+iter,residual,objective,alpha,d,stop_ratio,rank; stop_ratio is the quantity
+the solver's stop compares with tol, blank on an iteration where it
+compares none; cpcp reads a p x 1 measurements file), eval
 (metrics between an estimate directory, whose low-rank estimate is U V^T,
 and a truth directory).
 

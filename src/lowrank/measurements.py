@@ -12,8 +12,16 @@ in row-major order: ``forward`` gathers them, ``adjoint`` scatters them into
 zeros. A subspace's ``forward`` of a matrix with fewer than GATHER_DENSITY
 * mn nonzero entries reads only the basis columns of those entries; of any
 other matrix, it is the product of the whole basis with the matrix.
+
+A mask file (``save_mask``/``load_mask``) has a ``rows cols`` header and one
+0-based ``i j`` pair per line in row-major order. ``save_mask`` writes each
+row's pairs as the row's ``"i "`` prefix joined with column names from a
+table of index strings, so no index is formatted per pair. ``load_mask``
+parses the pairs with ``np.loadtxt`` and re-reads a file it refuses line by
+line, for an error that names the file and line (``path:line: ...``).
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,12 +145,20 @@ def mask_project(a, mask):
 
 def save_mask(path, mask):
     """Text format: "rows cols" header then one 0-based "i j" pair per line
-    in row-major order."""
+    in row-major order. Each row's lines are its "i " prefix joined with the
+    names of its columns, taken from a table of index strings, so no index
+    is formatted per pair."""
     rows, cols = mask.shape
-    pairs = np.column_stack(np.divmod(mask.flat_indices, cols))
+    flat = mask.flat_indices
+    names = np.array([str(j) for j in range(cols)], dtype=object)
+    columns = names.take(flat % cols).tolist()
+    bounds = np.searchsorted(flat, np.arange(rows + 1) * cols).tolist()
     with open(path, "w") as fh:
         fh.write(f"{rows} {cols}\n")
-        fh.write("%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist()))
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if lo < hi:
+                prefix = f"{i} "
+                fh.write(prefix + ("\n" + prefix).join(columns[lo:hi]) + "\n")
 
 
 def read_shape(fh, path):
@@ -158,25 +174,57 @@ def read_shape(fh, path):
     return rows, cols
 
 
+# An index as np.loadtxt reads an int64: an optional sign and ASCII digits.
+_INDEX = re.compile(r"[+-]?[0-9]+", re.ASCII)
+_INT64 = np.iinfo(np.int64)
+
+
+def _read_mask_pairs(lines, path, lineno):
+    """The reference reader of a mask body whose first line is file line
+    ``lineno``: blank lines are skipped and every other line holds two
+    indices, split on whitespace and read by the grammar of ``_INDEX``."""
+    pairs = []
+    for lineno, line in enumerate(lines, start=lineno):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 2:
+            raise ValueError(
+                f"{path}:{lineno}: expected 'i j', got {len(fields)} fields")
+        for field in fields:
+            if not (_INDEX.fullmatch(field)
+                    and _INT64.min <= int(field) <= _INT64.max):
+                raise ValueError(
+                    f"{path}:{lineno}: {field!r} is not an int64 index")
+        pairs.append([int(field) for field in fields])
+    return pairs
+
+
 def load_mask(path):
+    """Read a ``save_mask`` file. Its pairs go through ``np.loadtxt``; a body
+    that it refuses, or whose lines do not hold two fields, is re-read by
+    the reference reader, which raises the error naming the file and line.
+    The reference accepts the files ``np.loadtxt`` does, so should it find
+    no bad line, the ``np.loadtxt`` refusal stands."""
     with open(path) as fh:
         rows, cols = read_shape(fh, path)
         # Skip the blank lines before the first pair: loadtxt warns on input
         # without data, and a header-only file is an empty mask.
-        start = fh.tell()
+        start, lineno = fh.tell(), 2
         while (line := fh.readline()) and not line.strip():
-            start = fh.tell()
+            start, lineno = fh.tell(), lineno + 1
         pairs = np.empty((0, 2), dtype=np.int64)
         if line:
             fh.seek(start)
             try:
                 pairs = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+                if pairs.shape[1] != 2:
+                    raise ValueError("expected 'i j' per line, got "
+                                     f"{pairs.shape[1]} fields")
             except ValueError as exc:
+                fh.seek(start)
+                _read_mask_pairs(fh, path, lineno)
                 raise ValueError(f"{path}: {exc}") from exc
-    if pairs.shape[1] != 2:
-        raise ValueError(
-            f"{path}: expected 'i j' per line, got {pairs.shape[1]} fields"
-        )
     try:
         return ObservationMask.from_indices(rows, cols, pairs)
     except ValueError as exc:

@@ -245,7 +245,10 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
       ``work``: it is what the callback and the result report. Otherwise the
       callback's ``Iterate.s`` is the auxiliary matrix Z = L + (Z - L) in
       place of S, and S is zero;
-    - ``stop(u, v, u_prev, v_prev)``: a stopping test besides the residual.
+    - ``stop(u, v, u_prev, v_prev)``: a stopping test besides the residual,
+      returning the ratio it compares with ``tol`` (None where it compares
+      none) and whether the test holds. Without it, the residual over
+      ||D on Omega||_F is the ratio recorded as ``stop_ratio``.
 
     The next iteration's E = P - L on Omega is (Z - L) + Y / alpha, which
     ``_OmegaMatrix.load`` writes from ``gap``. While V = 0 (``rank``, the
@@ -321,12 +324,15 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
         data_term = step(data, low, y, scaled, alpha, gap, work)
         residual = float(np.linalg.norm(gap))
         objective = data_term + lam * float(shrunk.sum())
+        if stop is None:
+            ratio, done = residual / (obs_norm or 1.0), False
+        else:
+            ratio, done = stop(u, v, u_prev, v_prev)
         trace.append(IterationRecord(k, residual, objective, alpha, d,
-                                     rank=rank))
+                                     stop_ratio=ratio, rank=rank))
         if iter_callback is not None:
             Iterate(trace[-1], u, v, forms).pass_to(iter_callback)
-        if residual < threshold or (
-                stop is not None and stop(u, v, u_prev, v_prev)):
+        if residual < threshold or done:
             termination = "converged"
             break
         alpha = min(cfg.rho * alpha, cfg.alpha_max)
@@ -409,7 +415,10 @@ def solve_mc(d_obs, mask, cfg, iter_callback=None):
 
     def small_change(u, v, u_prev, v_prev):
         base = float(np.linalg.norm(v_prev))   # ||U_prev V_prev^T||_F
-        return base > 0 and _product_change(u, v, u_prev, v_prev) < cfg.tol * base
+        if not base > 0:
+            return None, False
+        change = _product_change(u, v, u_prev, v_prev)
+        return change / base, change < cfg.tol * base
 
     return _admm(d_obs, mask, cfg, step, robust=False, stop=small_change,
                  iter_callback=iter_callback)

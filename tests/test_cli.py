@@ -132,6 +132,27 @@ class TestSolveCommands:
             assert alpha0 == pytest.approx(float(first["alpha"]), rel=1e-6)
         assert " alpha0=2.500000e-01 rank=" in summary
 
+    @pytest.mark.parametrize("command", ["rmc", "mc", "rpca"])
+    def test_trace_records_stop_ratio(self, tmp_path, capsys, command):
+        truth = synth(tmp_path, rows=30, cols=30, rank=3, obs=0.8)
+        inputs = ["--data", str(truth / "d_obs.txt")]
+        if command != "rpca":
+            inputs += ["--mask", str(truth / "mask.txt")]
+        est = tmp_path / "est"
+        code = run(command, *inputs, "--rank", "6", "--lambda", "1",
+                   "--out-dir", str(est))
+        assert code == 0
+        with open(est / "trace.csv", newline="") as fh:
+            ratios = [row["stop_ratio"] for row in csv.DictReader(fh)]
+        blank = [not ratio for ratio in ratios]
+        if command == "mc":
+            # no change is compared while the previous product is zero
+            assert blank[0] and blank == sorted(blank, reverse=True)
+            assert not blank[-1]
+        else:
+            assert not any(blank)
+            assert float(ratios[-1]) < 1e-4   # the default tol
+
     @pytest.mark.parametrize("command", ["rmc", "mc", "rpca", "cpcp"])
     def test_iteration_cap_exit_code_still_writes_outputs(self, tmp_path,
                                                           capsys, command):

@@ -41,6 +41,30 @@ class TestSolveMc:
         assert res.iterations == len(res.trace)
         assert all(np.isfinite(rec.objective) for rec in res.trace)
 
+    def test_stop_ratio_is_relative_product_change(self):
+        rng = np.random.default_rng(3)
+        l0 = rng.standard_normal((30, 5)) @ rng.standard_normal((24, 5)).T
+        mask = ObservationMask(rng.random((30, 24)) < 0.7)
+        cfg = SolverConfig(lam=0.1, d=7, tol=1e-6, max_iter=800)
+        products = []
+        res = solve_mc(l0, mask, cfg,
+                       iter_callback=lambda it: products.append(it.u @ it.v.T))
+        assert res.termination == "converged"
+        for k, rec in enumerate(res.trace):
+            base = np.linalg.norm(products[k - 1]) if k else 0.0
+            if base == 0:
+                assert rec.stop_ratio is None
+            else:
+                change = np.linalg.norm(products[k] - products[k - 1])
+                assert rec.stop_ratio == pytest.approx(change / base,
+                                                       rel=1e-6, abs=1e-12)
+        # MC also stops on a small residual, as this run does
+        last = res.trace[-1]
+        assert last.stop_ratio < cfg.tol or \
+            last.residual < cfg.tol * np.linalg.norm(l0[mask.marker])
+        assert all(rec.stop_ratio is None or rec.stop_ratio >= cfg.tol
+                   for rec in res.trace[:-1])
+
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             solve_mc(np.zeros((3, 3)),

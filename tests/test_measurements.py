@@ -1,9 +1,13 @@
+import io
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrank import measurements
 from lowrank.datasets import RatingDataset, generate_planted
@@ -146,6 +150,57 @@ class TestMaskFile:
         np.testing.assert_array_equal(
             mask.marker, [[False, True, False], [False, False, True]]
         )
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("2 3\n0 1\n\n1 x\n", 4),
+        ("2 3\n\n0 1.5\n", 3),
+        ("2 3\n0 1\n1 2 0\n", 3),
+        ("2 3\n0 1 2\n1 2 0\n", 2),
+        ("2 3\r\n0 1\r\n1\r\n", 3),
+        ("2 3\n0 99999999999999999999\n", 2),
+        ("2 3\n0 1_0\n", 2),
+    ])
+    def test_malformed_line_names_file_line(self, tmp_path, text, lineno):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError) as info:
+            load_mask(path)
+        assert str(info.value).startswith(f"{path}:{lineno}: ")
+
+    @pytest.mark.parametrize("text", [
+        "2 3\n\n0 1\n\n \n1 2\n\n",
+        "2 3\r\n0 1\r\n\r\n1 2\r\n",
+        "2 3\n0\t1\n1\t 2\t\n",
+        "2 3\n+0 +1\n+1 2\n",
+        "2 3\n  0   1  \n 1    2\n",
+        "2 3\n-0 01\n+1 002",
+    ])
+    def test_accepted_layouts(self, tmp_path, text):
+        mask = load_mask(self.write(tmp_path, text))
+        np.testing.assert_array_equal(mask.flat_indices, [1, 5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.text(st.sampled_from("0123456789+-_.xe\t ١"),
+                        max_size=8))
+    def test_reference_reads_what_loadtxt_reads(self, line):
+        # the reference reader only names the line of a refusal; it must
+        # refuse exactly the lines np.loadtxt refuses
+        try:
+            ours = measurements._read_mask_pairs([line], "m", 2)
+        except ValueError:
+            ours = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                theirs = np.loadtxt(io.StringIO(line), dtype=np.int64,
+                                    comments=None, ndmin=2)
+            except (ValueError, Warning):
+                theirs = None
+        if not line.split():
+            assert ours == []
+        elif theirs is None or theirs.shape[1] != 2:
+            assert ours is None
+        else:
+            assert ours == theirs.tolist()
 
     @pytest.mark.parametrize("text", ["2 3\n", "2 3\n\n \n"])
     def test_header_only_is_empty_mask(self, tmp_path, text):

@@ -123,6 +123,29 @@ class TestSolveRmc:
             solve_rmc(d, ObservationMask.full(3, 3), SolverConfig(d=2))
 
 
+class TestStopRatio:
+    @pytest.mark.parametrize("solver", ["rmc", "rpca"])
+    def test_ratio_is_residual_over_data_norm(self, solver):
+        p = planted(seed=2, obs_frac=0.8 if solver == "rmc" else 1.0)
+        cfg = SolverConfig(d=6)
+        res = solve_rmc(p.d_obs, p.mask, cfg) if solver == "rmc" else \
+            solve_rpca(p.d_obs, cfg)
+        norm = np.linalg.norm(p.d_obs[p.mask.marker])
+        assert res.termination == "converged"
+        for rec in res.trace:
+            assert rec.stop_ratio == pytest.approx(rec.residual / norm,
+                                                   rel=1e-12)
+        # the stop is the first ratio below tol
+        assert [rec.stop_ratio < cfg.tol for rec in res.trace] == \
+            [False] * (res.iterations - 1) + [True]
+
+    def test_zero_data_ratio_is_the_residual(self):
+        mask = ObservationMask.full(6, 5)
+        res = solve_rmc(np.zeros((6, 5)), mask, SolverConfig(d=2))
+        assert [rec.stop_ratio for rec in res.trace] == \
+            [rec.residual for rec in res.trace]
+
+
 class TestEntriesOffMask:
     @pytest.mark.parametrize("solver", [solve_rmc, solve_mc])
     def test_nonfinite_entries_off_mask_are_not_read(self, solver):

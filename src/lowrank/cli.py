@@ -4,9 +4,10 @@ Subcommands: synth (planted problem files), rmc / rpca / mc / cpcp (solver
 runs writing U.txt, V.txt, S.txt and trace.csv, whose one header is
 iter,residual,objective,alpha,d,stop_ratio,rank; stop_ratio is the quantity
 the solver's stop compares with tol, blank on an iteration where it
-compares none; cpcp reads a p x 1 measurements file), eval
-(metrics between an estimate directory, whose low-rank estimate is U V^T,
-and a truth directory).
+compares none, though mc also stops on residual over ||D on Omega||_F,
+which stop_ratio does not record; cpcp reads a p x 1 measurements file),
+eval (metrics between an estimate directory, whose low-rank estimate is
+U V^T, and a truth directory).
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid flags, configuration or
 inputs, 3 solver hit the iteration cap (outputs are still written). The

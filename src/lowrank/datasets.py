@@ -25,11 +25,9 @@ A matrix file (``save_matrix``/``load_matrix``) has a ``rows cols`` header
 and then exactly ``rows`` lines of ``cols`` values; blank lines may follow
 the last row but not precede it. Its rows go through numpy's C parser too,
 with the same per-line reference behind it for the ``path:line`` errors.
-``save_matrix`` writes each value as ``"%.17g"`` does. A matrix that is at
-least ZERO_FRACTION exact zeros (a planted ``s0``, a solver's ``S``) is
-written from per-row templates: each zero is the literal ``0`` or ``-0``,
-and one ``%`` call per row formats only the nonzero values. Any other matrix
-is formatted one value at a time. The bytes are the same either way.
+``save_matrix`` writes each value as ``"%.17g"`` does, from per-row
+templates: each exact zero is the literal ``0`` or ``-0``, and one ``%``
+call per row formats only the nonzero values.
 """
 
 import functools
@@ -257,39 +255,27 @@ def load_ratings(path, seed=0):
                          duplicate_count=duplicates)
 
 
-# save_matrix writes a matrix with at least ZERO_FRACTION exact zeros from row
-# templates that hold its zeros as the literal "0" or "-0" and "%.17g" for the
-# rest; a denser one gets one "%.17g" per value. Best of 11 on a shared
-# 2-vCPU Xeon, 500^2 written to a file: the templates took 13, 36, 49, 64 and
-# 77 ms at 95%, 80%, 70%, 60% and 50% zeros, the per-value format 29, 48, 57,
-# 72 and 79 ms; at 30% zeros (d_obs) both took 103-106 ms, and at none (l0)
-# both 118 ms.
-ZERO_FRACTION = 0.5
-# Each template token is one of these three objects, so a zero costs a
-# pointer, not a string.
+# Each token of a save_matrix row template is one of these three objects, so
+# a zero costs a pointer, not a string.
 _TOKENS = np.array(["%.17g", "0", "-0"], dtype=object)
 
 
 def save_matrix(path, a):
     """Text format: "rows cols" header then one row per line, 17 significant
-    digits so a round trip is bit-lossless. Exact zeros are written as "0"
-    or "-0", which is what "%.17g" makes of them, without formatting them
-    when at least ZERO_FRACTION of the entries are zero."""
+    digits so a round trip is bit-lossless. Each row is written from a
+    template that holds its exact zeros as "0" or "-0", which is what
+    "%.17g" makes of them, so only the nonzero values are formatted."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("save_matrix expects a 2-D array")
     rows, cols = a.shape
     zero = a == 0
+    kinds = zero.view(np.uint8) + (zero & np.signbit(a)).view(np.uint8)
     with open(path, "w") as fh:
         fh.write(f"{rows} {cols}\n")
-        if np.count_nonzero(zero) >= ZERO_FRACTION * a.size:
-            kinds = zero.view(np.uint8) + (zero & np.signbit(a)).view(np.uint8)
-            fh.writelines(
-                (" ".join(tokens.tolist()) + "\n") % tuple(row[kept].tolist())
-                for row, tokens, kept in zip(a, _TOKENS.take(kinds), ~zero))
-        else:
-            row_format = " ".join(["%.17g"] * cols) + "\n"
-            fh.writelines(row_format % tuple(row.tolist()) for row in a)
+        fh.writelines(
+            (" ".join(tokens.tolist()) + "\n") % tuple(row[kept].tolist())
+            for row, tokens, kept in zip(a, _TOKENS.take(kinds), ~zero))
 
 
 def _read_matrix_rows(fh, path, rows, cols):

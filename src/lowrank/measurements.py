@@ -179,11 +179,11 @@ _INDEX = re.compile(r"[+-]?[0-9]+", re.ASCII)
 _INT64 = np.iinfo(np.int64)
 
 
-def _read_mask_pairs(lines, path, lineno):
-    """The reference reader of a mask body whose first line is file line
-    ``lineno``: blank lines are skipped and every other line holds two
-    indices, split on whitespace and read by the grammar of ``_INDEX``."""
-    pairs = []
+def _check_mask_lines(lines, path, lineno):
+    """The reference check of a mask body whose first line is file line
+    ``lineno``: blank lines are skipped and every other line must hold two
+    indices, split on whitespace and read by the grammar of ``_INDEX``. The
+    first line that does not raises ``path:line: ...``."""
     for lineno, line in enumerate(lines, start=lineno):
         fields = line.split()
         if not fields:
@@ -196,14 +196,12 @@ def _read_mask_pairs(lines, path, lineno):
                     and _INT64.min <= int(field) <= _INT64.max):
                 raise ValueError(
                     f"{path}:{lineno}: {field!r} is not an int64 index")
-        pairs.append([int(field) for field in fields])
-    return pairs
 
 
 def load_mask(path):
     """Read a ``save_mask`` file. Its pairs go through ``np.loadtxt``; a body
     that it refuses, or whose lines do not hold two fields, is re-read by
-    the reference reader, which raises the error naming the file and line.
+    the reference check, which raises the error naming the file and line.
     The reference accepts the files ``np.loadtxt`` does, so should it find
     no bad line, the ``np.loadtxt`` refusal stands."""
     with open(path) as fh:
@@ -223,7 +221,7 @@ def load_mask(path):
                                      f"{pairs.shape[1]} fields")
             except ValueError as exc:
                 fh.seek(start)
-                _read_mask_pairs(fh, path, lineno)
+                _check_mask_lines(fh, path, lineno)
                 raise ValueError(f"{path}: {exc}") from exc
     try:
         return ObservationMask.from_indices(rows, cols, pairs)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lowrank.datasets import ZERO_FRACTION, load_matrix, save_matrix
+from lowrank.datasets import load_matrix, save_matrix
 from lowrank.measurements import ObservationMask, load_mask, save_mask
 
 
@@ -46,33 +46,13 @@ values = st.one_of(
     st.sampled_from(SPECIAL)).filter(lambda x: x != 0)
 
 
-@st.composite
-def matrices_near_crossover(draw):
-    """A matrix whose count of exact zeros is one below, at or one above
-    the smallest count that ``save_matrix`` writes from templates."""
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    size = rows * cols
-    at = math.ceil(ZERO_FRACTION * size)
-    zeros = min(max(at + draw(st.sampled_from([-1, 0, 1])), 0), size)
-    a = np.array([draw(values) for _ in range(size)])
-    where = draw(st.permutations(range(size)))[:zeros]
-    negative = draw(st.lists(st.booleans(), min_size=zeros, max_size=zeros))
-    a[where] = np.where(negative, -0.0, 0.0)
-    return a.reshape(rows, cols)
+matrices = arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                  elements=st.one_of(values, st.just(0.0), st.just(-0.0)))
 
 
 class TestSaveMatrix:
     @settings(max_examples=200, deadline=None)
-    @given(a=matrices_near_crossover())
-    def test_bytes_near_crossover(self, tmp_path_factory, a):
-        tmp = tmp_path_factory.mktemp("near")
-        assert_same_bytes(tmp, save_matrix, reference_save_matrix, a)
-
-    @settings(max_examples=100, deadline=None)
-    @given(a=arrays(np.float64, st.tuples(st.integers(1, 5),
-                                          st.integers(1, 5)),
-                    elements=st.one_of(values, st.just(0.0),
-                                       st.just(-0.0))))
+    @given(a=matrices)
     def test_bytes_of_any_matrix(self, tmp_path_factory, a):
         tmp = tmp_path_factory.mktemp("any")
         assert_same_bytes(tmp, save_matrix, reference_save_matrix, a)
@@ -98,7 +78,7 @@ class TestSaveMatrix:
         assert_same_bytes(tmp_path, save_matrix, reference_save_matrix, a)
 
     @settings(max_examples=100, deadline=None)
-    @given(a=matrices_near_crossover())
+    @given(a=matrices)
     def test_roundtrip_is_bit_exact(self, tmp_path_factory, a):
         # the text holds "nan" for every NaN, so only the canonical one
         # comes back bit for bit

@@ -18,9 +18,11 @@ A mask file (``save_mask``/``load_mask``) has a ``rows cols`` header and one
 row's pairs as the row's ``"i "`` prefix joined with column names from a
 table of index strings, so no index is formatted per pair. ``load_mask``
 parses the pairs with ``np.loadtxt`` and re-reads a file it refuses line by
-line, for an error that names the file and line (``path:line: ...``).
+line, for an error that names the file and line (``path:line: ...``); a
+pair out of range or repeated is named by its file line too.
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -63,6 +65,14 @@ def _check_length(y, dim):
     return y
 
 
+class _PairError(ValueError):
+    """A pair that ``from_indices`` refuses; ``at`` is its position."""
+
+    def __init__(self, message, at):
+        super().__init__(message)
+        self.at = at
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ObservationMask:
     """Observed entries as row-major flat indices ``i * cols + j``: ascending,
@@ -91,9 +101,10 @@ class ObservationMask:
         i, j = pairs[:, 0], pairs[:, 1]
         outside = (i < 0) | (i >= rows) | (j < 0) | (j >= cols)
         if outside.any():
-            bad_i, bad_j = pairs[np.argmax(outside)]
-            raise ValueError(
-                f"mask index ({bad_i}, {bad_j}) out of range {rows}x{cols}"
+            at = int(np.argmax(outside))
+            bad_i, bad_j = pairs[at]
+            raise _PairError(
+                f"mask index ({bad_i}, {bad_j}) out of range {rows}x{cols}", at
             )
         flat = i * cols + j
         # Mask files and sorted ratings tables give row-major pairs: no sort.
@@ -102,8 +113,9 @@ class ObservationMask:
             _, first = np.unique(flat, return_index=True)
             repeat = np.ones(len(pairs), dtype=bool)
             repeat[first] = False
-            dup_i, dup_j = pairs[np.argmax(repeat)]
-            raise ValueError(f"duplicate mask index ({dup_i}, {dup_j})")
+            at = int(np.argmax(repeat))
+            dup_i, dup_j = pairs[at]
+            raise _PairError(f"duplicate mask index ({dup_i}, {dup_j})", at)
         return cls.__new__(cls)._hold(rows, cols, ordered)
 
     @classmethod
@@ -203,7 +215,8 @@ def load_mask(path):
     that it refuses, or whose lines do not hold two fields, is re-read by
     the reference check, which raises the error naming the file and line.
     The reference accepts the files ``np.loadtxt`` does, so should it find
-    no bad line, the ``np.loadtxt`` refusal stands."""
+    no bad line, the ``np.loadtxt`` refusal stands. A pair out of range or
+    repeated is named by its file line as well."""
     with open(path) as fh:
         rows, cols = read_shape(fh, path)
         # Skip the blank lines before the first pair: loadtxt warns on input
@@ -225,8 +238,18 @@ def load_mask(path):
                 raise ValueError(f"{path}: {exc}") from exc
     try:
         return ObservationMask.from_indices(rows, cols, pairs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except _PairError as exc:
+        raise ValueError(f"{path}:{_pair_line(path, exc.at)}: {exc}") from exc
+
+
+def _pair_line(path, at):
+    """The file line of pair ``at`` of a mask file whose body np.loadtxt
+    read: the pairs are the nonblank lines after the header."""
+    with open(path) as fh:
+        next(fh)
+        pairs = (lineno for lineno, line in enumerate(fh, start=2)
+                 if line.split())
+        return next(itertools.islice(pairs, at, None))
 
 
 @dataclass(frozen=True)

@@ -161,10 +161,11 @@ class _OmegaMatrix:
         # flat index minus the flat index of its block's first entry
         local = flat - np.repeat(starts * n, np.diff(bounds))
         buffer = np.empty((min(rows, m), n))
-        # (rows, Omega span, block-local indices, buffer view) of each block
-        # that holds Omega entries
+        # (rows, Omega span, block-local indices, buffer view, the bound take
+        # of its flat view) of each block that holds Omega entries
         self._blocks = [
-            (slice(r0, r1), slice(lo, hi), local[lo:hi], buffer[:r1 - r0])
+            (slice(r0, r1), slice(lo, hi), local[lo:hi], buffer[:r1 - r0],
+             buffer[:r1 - r0].reshape(-1).take)
             for r0, r1, lo, hi in zip(
                 starts.tolist(), np.minimum(starts + rows, m).tolist(),
                 bounds[:-1].tolist(), bounds[1:].tolist()) if lo < hi]
@@ -197,10 +198,11 @@ class _OmegaMatrix:
 
     def low_rank(self, u, v, out):
         """Write U V^T on Omega into ``out``."""
-        for block_rows, span, indices, block in self._blocks:
-            np.matmul(u[block_rows], v.T, out=block)
+        v_t = v.T
+        for block_rows, span, indices, block, take in self._blocks:
+            np.matmul(u[block_rows], v_t, out=block)
             # indices in range: mode="clip" lets take write out unbuffered
-            np.take(block.reshape(-1), indices, out=out[span], mode="clip")
+            take(indices, out=out[span], mode="clip")
 
     def norm_2(self, data):
         """||D on Omega||_2 for the Omega values ``data``: the Frobenius norm

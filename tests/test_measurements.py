@@ -232,6 +232,20 @@ class TestMaskFile:
         with pytest.raises(ValueError, match=r"duplicate mask index \(0, 1\)"):
             load_mask(path)
 
+    def test_out_of_range_pair_names_file_line(self, tmp_path):
+        # the blank line 3 makes the pair's line differ from its position
+        path = self.write(tmp_path, "2 3\n0 0\n\n1 5\n")
+        with pytest.raises(ValueError) as info:
+            load_mask(path)
+        assert str(info.value) == \
+            f"{path}:4: mask index (1, 5) out of range 2x3"
+
+    def test_duplicate_pair_names_file_line(self, tmp_path):
+        path = self.write(tmp_path, "2 3\n0 1\n1 1\n0 1\n")
+        with pytest.raises(ValueError) as info:
+            load_mask(path)
+        assert str(info.value) == f"{path}:4: duplicate mask index (0, 1)"
+
     def test_golden_bytes(self, tmp_path):
         path = tmp_path / "mask.txt"
         save_mask(path, ObservationMask.from_indices(2, 3, [(1, 2), (0, 1),

@@ -35,18 +35,19 @@ part and multiplier are formed for the result, and for ``iter_callback`` only
 when its ``Iterate`` view is read; a callback that reads neither leaves the
 run bit-identical to one without a callback.
 
-Every solve opens with V = 0, and V stays zero until the threshold
-lambda / alpha falls below the top singular value of E^T U. Robust completion
-therefore starts the penalty near where that warm-up ends: its "auto" alpha0
-is 0.5 lambda / ||D on Omega||_2 (``SolverConfig.resolve_alpha0``), so the
-first threshold is 2 ||D on Omega||_2, just above every singular value of
-E^T U. Plain completion keeps alpha0 = 1 / ||D on Omega||_F. While V = 0,
-P V and L are zero, so the factor update, its two products and the
-evaluation of L are skipped, and U stays the start factor np.eye(m, d), so
-E^T U is the first d rows of E, transposed, scattered from the Omega entries
-of those rows, and E is formed on those entries alone.
-Such an iteration costs O(|Omega|) elementwise work plus the SVD of an n x d
-matrix, with the same result bit for bit.
+Every solve opens with V = 0 and U the randomized range finder's basis of
+D on Omega (Halko, Martinsson and Tropp, "Finding Structure with
+Randomness", SIAM Review 2011): the Q of the thin QR of E_0 G, where E_0 is
+D on Omega and G a seeded n x d Gaussian. This U sees every row of D: d
+fixed coordinate vectors see d rows only, and on a tall D the sparse part
+absorbs D before V turns nonzero. V stays zero until the
+threshold lambda / alpha falls below the top singular value of E^T U.
+Robust completion therefore starts the penalty near where that warm-up ends:
+its "auto" alpha0 is 0.5 lambda / ||D on Omega||_2
+(``SolverConfig.resolve_alpha0``), so the first threshold is
+2 ||D on Omega||_2, just above every singular value of E^T U. Plain
+completion keeps alpha0 = 1 / ||D on Omega||_F. While V = 0, P V and L are
+zero, so the factor update and the evaluation of L are skipped.
 """
 
 import math
@@ -110,10 +111,12 @@ def adjust_rank_once(v, current_d):
     The test runs only while V keeps all d directions. A zero tail left by
     the thresholded factor update marks the current numerical rank, not the
     spectral jump this heuristic looks for, and the quotients left without
-    it are too few to judge: under the automatic penalty V keeps two
-    directions at the first check, and their single quotient, with no rest
-    to dominate, would cut the rank to 1. For the same reason d must be at
-    least 3.
+    it are too few to judge. Under the automatic penalty, on criterion 06's
+    instances (100^2, rank 5, d = 6 and 10), V holds one to four directions
+    at the first check and never more than the planted rank, so the test
+    never runs there; a V of two directions would leave a single quotient,
+    which with no rest to dominate would cut the rank to 1. For the same
+    reason d must be at least 3.
     """
     if current_d < 3:
         return current_d
@@ -153,8 +156,7 @@ class _OmegaMatrix:
         m, n = mask.shape
         flat = self._flat = mask.flat_indices
         # flat is row-major, so it lists Omega in CSR order
-        indptr = self._indptr = np.searchsorted(flat,
-                                                np.arange(0, m * n + 1, n))
+        indptr = np.searchsorted(flat, np.arange(0, m * n + 1, n))
         rows = max(1, BLOCK_ENTRIES // n)
         starts = np.arange(0, m, rows)
         bounds = indptr[np.append(starts, m)]   # each block's span of Omega
@@ -186,16 +188,6 @@ class _OmegaMatrix:
             self._dense[self._flat] = self._values
         return self._e, self._e_t
 
-    def start_product(self, gap, scaled, d):
-        """E^T np.eye(m, d), with E = ``gap`` + ``scaled`` formed on the Omega
-        entries of its first d rows only."""
-        head = self._indptr[d]
-        np.add(gap[:head], scaled[:head], out=self._values[:head])
-        # the flat indices of the first d rows index a d x n matrix
-        rows = np.zeros((d, self._e.shape[1]))
-        rows.reshape(-1)[self._flat[:head]] = self._values[:head]
-        return rows.T
-
     def low_rank(self, u, v, out):
         """Write U V^T on Omega into ``out``."""
         v_t = v.T
@@ -204,14 +196,14 @@ class _OmegaMatrix:
             # indices in range: mode="clip" lets take write out unbuffered
             take(indices, out=out[span], mode="clip")
 
-    def norm_2(self, data):
-        """||D on Omega||_2 for the Omega values ``data``: the Frobenius norm
-        of a 1 x n or m x 1 matrix, else ARPACK's from a seeded start vector,
-        as ARPACK's own is random and a rerun must be bit-identical."""
+    def norm_2(self):
+        """||E||_2 of the E last loaded: the Frobenius norm of a 1 x n or
+        m x 1 matrix, else ARPACK's from a seeded start vector, as ARPACK's
+        own is random and a rerun must be bit-identical."""
         if min(self._e.shape) == 1:
-            return float(np.linalg.norm(data))
+            return float(np.linalg.norm(self._values))
         start = np.random.default_rng(0).standard_normal(min(self._e.shape))
-        return float(svds(self.load(data, 0.0)[0], k=1, v0=start,
+        return float(svds(self._e, k=1, v0=start,
                           return_singular_vectors=False)[0])
 
 
@@ -252,15 +244,15 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
       none) and whether the test holds. Without it, the residual over
       ||D on Omega||_F is the ratio recorded as ``stop_ratio``.
 
-    The next iteration's E = P - L on Omega is (Z - L) + Y / alpha, which
-    ``_OmegaMatrix.load`` writes from ``gap``. While V = 0 (``rank``, the
-    size of ``svt``'s shrunk values, is 0) the factor update and the
-    evaluation of L are skipped, and while U is also the start factor
-    ``start_product`` reads E^T U off the Omega entries of E's first d rows,
-    the only entries of E formed then: such an iteration costs O(|Omega|)
-    and one n x d SVD, not O(|Omega| d) or mn d products. Every buffer is
-    allocated once, so an iteration allocates no vector of length |Omega|;
-    its one SVD is inside ``svt``, whose shrunk values give V's nuclear norm.
+    U starts as the range finder's basis of E_0 = D on Omega, the Q of the
+    thin QR of E_0 G for a seeded n x d Gaussian G, and the same load of E_0
+    gives ``norm_2`` for robust completion's alpha0. The next iteration's
+    E = P - L on Omega is (Z - L) + Y / alpha, which ``_OmegaMatrix.load``
+    writes from ``gap``. While V = 0 (``rank``, the size of ``svt``'s shrunk
+    values, is 0) the factor update and the evaluation of L are skipped.
+    Every buffer is allocated once, so an iteration allocates no vector of
+    length |Omega|; its one SVD is inside ``svt``, whose shrunk values give
+    V's nuclear norm.
     ``iter_callback`` receives an ``Iterate`` view over these buffers, which
     forms the m x n S and Y only when read.
     """
@@ -275,16 +267,17 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     threshold = cfg.tol * obs_norm if obs_norm > 0 else cfg.tol
 
     d = cfg.d
-    u = start = np.eye(m, d)
+    # E = P - U_prev V_prev^T, zero off Omega; it starts as D on Omega
+    omega = _OmegaMatrix(mask)
+    e, _ = omega.load(data, 0.0)
+    alpha = cfg.resolve_alpha0(obs_norm, lam,
+                               omega.norm_2 if robust else None)
+    u = qr_thin(e @ np.random.default_rng(0).standard_normal((n, d))).q
     v = np.zeros((n, d))
     rank = 0                       # of V
     # Factors of the product that P equals off Omega; the rank adjustment
     # truncates U and V but not these.
     u_prev, v_prev = u, v
-    # E = P - U_prev V_prev^T, zero off Omega
-    omega = _OmegaMatrix(mask)
-    alpha = cfg.resolve_alpha0(
-        obs_norm, lam, (lambda: omega.norm_2(data)) if robust else None)
     y = np.zeros_like(data)
     low = np.zeros_like(data)      # U_prev V_prev^T on Omega
     gap = data.copy()              # Z - U_prev V_prev^T on Omega; Z starts at D
@@ -307,17 +300,10 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
 
     for k in range(1, cfg.max_iter + 1):
         np.divide(y, alpha, out=scaled)
-        # While V = 0, P V = 0 and the factor update is skipped, so U stays
-        # the start factor and E^T U needs E on the first d rows only.
-        if rank or u is not start:
-            e, e_t = omega.load(gap, scaled)
-            if rank:
-                u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v,
-                                       u_scheme)
-            e_t_u = e_t @ u
-        else:
-            e_t_u = omega.start_product(gap, scaled, d)
-        v, shrunk = svt(v_prev @ (u_prev.T @ u) + e_t_u, lam / alpha)
+        e, e_t = omega.load(gap, scaled)
+        if rank:                   # while V = 0, P V = 0 and U is kept
+            u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u_scheme)
+        v, shrunk = svt(v_prev @ (u_prev.T @ u) + e_t @ u, lam / alpha)
         rank = shrunk.size
         if rank:
             omega.low_rank(u, v, low)

@@ -1,14 +1,20 @@
 """The Omega-restricted ADMM driver against the dense loops it replaced.
 
-``dense_rmc`` and ``dense_mc`` are the former loop bodies of ``solve_rmc`` and
-``solve_mc``: every iterate is a full m x n matrix. With rank bound d = 1 the
-thin QR of P V is unique, so the driver must follow the same iterate path up
-to rounding. With d above the true rank the trailing QR columns of a
-rank-deficient P V turn rounding into a different path, so there the gate is
-on outcomes. The RMC and MC checks run on both sides of ``SPARSE_DENSITY``:
-above it the driver takes its two products with a dense m x n buffer, below
-it with a CSR array over Omega. Both evaluate U V^T on Omega by row blocks,
-and one instance on each side spans several blocks.
+``dense_rmc`` and ``dense_mc`` are the loops of ``solve_rmc`` and ``solve_mc``
+with every iterate held as a full m x n matrix. They take the products with
+P in the driver's form, U_prev V_prev^T plus E = P - U_prev V_prev^T, with E
+a dense matrix. With rank bound d = 1 the thin QR of P V is unique, so the
+driver must follow the same iterate path up to rounding. With d above the
+true rank the trailing QR columns of a rank-deficient P V come from rounding
+and turn it into a different path, so there the gate is on outcomes. Those
+columns depend on how P V is formed: this form carries columns of U_prev into
+them, a dense ``p @ v`` puts fresh rounding noise there, and V then gains
+rank more slowly (80 x 70, d = 6, seeds 11-40: 36.9 iterations on average,
+against the driver's 37.0, but 41.1 from ``p @ v``). The RMC and MC checks
+run on both sides of ``SPARSE_DENSITY``: above it the driver takes its two
+products with a dense m x n buffer, below it with a CSR array over Omega.
+Both evaluate U V^T on Omega by row blocks, and one instance on each side
+spans several blocks.
 """
 
 import tracemalloc
@@ -25,6 +31,7 @@ from lowrank.config import (
     SolverConfig,
 )
 from lowrank.datasets import generate_planted
+from lowrank.linalg import qr_thin
 from lowrank.measurements import ObservationMask
 from lowrank.metrics import auc, relative_error
 from lowrank.prox import soft_threshold, svt
@@ -64,6 +71,13 @@ def _start(d_obs, mask, cfg, robust):
     return data, alpha, threshold
 
 
+def _range_start(d_obs, mask, d):
+    """The driver's start factor: the Q of the thin QR of D on Omega times an
+    n x d Gaussian drawn with seed 0."""
+    g = np.random.default_rng(0).standard_normal((mask.shape[1], d))
+    return qr_thin(mask.adjoint(mask.forward(d_obs)) @ g).q
+
+
 def _adjust(cfg, k, u, v, d, adjusted):
     if cfg.adjust_rank and not adjusted and k >= RANK_ADJUST_START and d >= 2:
         new_d = adjust_rank_once(v, d)
@@ -80,14 +94,16 @@ def dense_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
     marker = mask.marker
     lam = cfg.resolve_lambda(m, n)
     d = cfg.d
-    u, v = np.eye(m, d), np.zeros((n, d))
+    u, v = _range_start(d_obs, mask, d), np.zeros((n, d))
+    u_prev, v_prev, low_rank = u, v, np.zeros((m, n))
     s, y = np.zeros((m, n)), np.zeros((m, n))
     adjusted, trace = False, []
     for k in range(1, cfg.max_iter + 1):
         p = data - s + y / alpha
+        e = p - low_rank              # zero off Omega
         if v.any():
-            u = orthonormal_factor(p @ v, u_scheme)
-        v, _ = svt(p.T @ u, lam / alpha)
+            u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u_scheme)
+        v, _ = svt(v_prev @ (u_prev.T @ u) + e.T @ u, lam / alpha)
         low_rank = u @ v.T
         a = data - low_rank + y / alpha
         s = np.where(marker, soft_threshold(a, 1.0 / alpha), a)
@@ -102,6 +118,7 @@ def dense_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
         if residual < threshold:
             break
         alpha = min(cfg.rho * alpha, cfg.alpha_max)
+        u_prev, v_prev = u, v
         u, v, d, adjusted = _adjust(cfg, k, u, v, d, adjusted)
     return trace
 
@@ -113,16 +130,17 @@ def dense_mc(d_obs, mask, cfg, iter_callback=None):
     marker = mask.marker
     lam = cfg.resolve_lambda(m, n)
     d = cfg.d
-    u, v = np.eye(m, d), np.zeros((n, d))
+    u, v = _range_start(d_obs, mask, d), np.zeros((n, d))
+    u_prev, v_prev, low_rank = u, v, np.zeros((m, n))
     aux, y = data.copy(), np.zeros((m, n))
-    low_rank = u @ v.T
     adjusted, trace = False, []
     for k in range(1, cfg.max_iter + 1):
         prev_low_rank = low_rank
         p = aux + y / alpha
+        e = p - low_rank              # zero off Omega
         if v.any():
-            u = orthonormal_factor(p @ v, "qr")
-        v, _ = svt(p.T @ u, lam / alpha)
+            u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, "qr")
+        v, _ = svt(v_prev @ (u_prev.T @ u) + e.T @ u, lam / alpha)
         low_rank = u @ v.T
         aux = np.where(marker, (data + alpha * low_rank - y) / (1.0 + alpha),
                        low_rank - y / alpha)
@@ -141,6 +159,7 @@ def dense_mc(d_obs, mask, cfg, iter_callback=None):
         if (base > 0 and change < cfg.tol * base) or residual < threshold:
             break
         alpha = min(cfg.rho * alpha, cfg.alpha_max)
+        u_prev, v_prev = u, v
         u, v, d, adjusted = _adjust(cfg, k, u, v, d, adjusted)
     return trace
 
@@ -502,8 +521,9 @@ def test_norm_2_is_the_spectral_norm_on_omega(name, layout, monkeypatch):
     mask = ObservationMask(_masks()[name])
     data = np.random.default_rng(mask.dim).standard_normal(mask.dim)
     omega = _layout(LAYOUT_CUTS[layout], mask, monkeypatch)
+    omega.load(data, 0.0)
     want = np.linalg.norm(mask.adjoint(data), 2)
-    assert abs(omega.norm_2(data) - want) <= 1e-12 * want
+    assert abs(omega.norm_2() - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUT_CUTS))
@@ -513,85 +533,19 @@ def test_norm_2_of_a_vector_is_its_frobenius_norm(shape, layout, monkeypatch):
     mask = ObservationMask(marker)
     data = np.random.default_rng(4).standard_normal(mask.dim)
     omega = _layout(LAYOUT_CUTS[layout], mask, monkeypatch)
-    assert omega.norm_2(data) == float(np.linalg.norm(data))
-    assert omega.norm_2(data) == pytest.approx(
+    omega.load(data, 0.0)
+    assert omega.norm_2() == float(np.linalg.norm(data))
+    assert omega.norm_2() == pytest.approx(
         np.linalg.norm(mask.adjoint(data)), rel=1e-12)
 
 
-# While V = 0 the driver skips the factor update and L = U V^T on Omega, and
-# while U is still the start factor np.eye(m, d) it reads E^T U off the first
-# d rows of Omega. Both shortcuts must give what the products give. Robust
-# completion's "auto" alpha0 leaves few such iterations, so the checks of the
-# warm-up start at plain completion's alpha0, 1 / ||D on Omega||_F.
+# While V = 0 the driver skips the factor update and L = U V^T on Omega. The
+# checks of that skip start at plain completion's alpha0, 1 / ||D on Omega||_F,
+# as robust completion's "auto" alpha0 leaves few such iterations.
 
 
 def _frobenius_start(d_obs, mask):
     return 1.0 / np.linalg.norm(mask.forward(d_obs))
-
-
-D_START = 6
-
-
-def _warm_up_masks():
-    rng = np.random.default_rng(7)
-    # n columns of BLOCK_ENTRIES // 4 make blocks of 4 rows, so the first
-    # D_START rows span two row blocks
-    wide = (12, BLOCK_ENTRIES // 4)
-    masks = {
-        "csr, first rows empty": rng.random((40, 30)) < 0.15,
-        "dense, first rows empty": rng.random((40, 30)) < 0.6,
-        "csr, first d rows empty": rng.random((40, 30)) < 0.15,
-        "csr, two row blocks": rng.random(wide) < 0.1,
-        "dense, two row blocks": rng.random(wide) < 0.5,
-    }
-    for name, marker in masks.items():
-        if "first rows empty" in name:
-            marker[:2] = False
-        if "first d rows empty" in name:
-            marker[:D_START] = False
-    return masks
-
-
-@pytest.mark.parametrize("name", sorted(_warm_up_masks()))
-def test_start_factor_product_equals_dense_product(name, monkeypatch):
-    marker = _warm_up_masks()[name]
-    m, n = marker.shape
-    mask = ObservationMask(marker)
-    assert_path(mask, name.startswith("csr"))
-    rng = np.random.default_rng(2)
-    d_obs = rng.standard_normal((m, 2)) @ rng.standard_normal((n, 2)).T
-    real_start_product, real_svt = _OmegaMatrix.start_product, rmc.svt
-    products = []
-
-    def start_product(self, gap, scaled, d):
-        out = real_start_product(self, gap, scaled, d)
-        # E on every Omega entry, in a second object of the same layout: the
-        # rows below the first d meet zeros of the start factor
-        _, e_t = _OmegaMatrix(mask).load(gap, scaled)
-        products.append((out.copy(), e_t @ np.eye(m, d)))
-        return out
-
-    ranks, checked = [], []
-
-    def checked_svt(a, mu):
-        if not any(ranks):   # every V so far is 0: U is the start factor
-            assert len(products) == len(ranks) + 1, len(ranks)
-            got, want = products[-1]
-            assert np.array_equal(got, want), len(ranks)
-            assert np.array_equal(a, want), len(ranks)
-            checked.append(len(ranks))
-        out = real_svt(a, mu)
-        ranks.append(out[1].size)
-        return out
-
-    monkeypatch.setattr(_OmegaMatrix, "start_product", start_product)
-    monkeypatch.setattr(rmc, "svt", checked_svt)
-    res = solve_rmc(d_obs, mask, SolverConfig(lam=3.0, d=D_START, max_iter=12,
-                                              alpha0=_frobenius_start(d_obs,
-                                                                      mask)))
-    assert len(checked) >= 3, checked
-    if "first d rows empty" in name:
-        assert len(checked) == res.iterations and not any(ranks)
 
 
 def _count_factor_updates(monkeypatch):
@@ -638,4 +592,6 @@ def test_factor_update_never_runs_while_rank_stays_zero(solver, monkeypatch):
     assert res.iterations == 20
     assert all(rec.rank == 0 for rec in res.trace)
     assert calls == []
-    assert np.array_equal(res.u, np.eye(12, 3)) and not np.any(res.v)
+    assert_path(p.mask, False)   # the driver's E_0 G is this dense GEMM
+    assert np.array_equal(res.u, _range_start(p.d_obs, p.mask, 3))
+    assert not np.any(res.v)

@@ -239,8 +239,8 @@ class TestSpectralStart:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_warm_up_ends_at_once_and_the_solve_is_shorter(self, seed):
-        # d = m: the start factor np.eye(m, d) spans every row of D, so E^T U
-        # holds the whole spectrum of D from the first iteration on
+        # d = m: the start factor is an orthonormal basis of all m rows, so
+        # E^T U holds the whole spectrum of D from the first iteration on
         p = planted(m=30, n=90, r=2, spike_frac=0.05, obs_frac=0.9, seed=seed)
         cfg = SolverConfig(lam=0.6 * np.sqrt(90 * 0.9), d=30)
         res = solve_rmc(p.d_obs, p.mask, cfg)
@@ -319,6 +319,34 @@ class TestSpectralStart:
         one = dataclasses.replace(cfg, max_iter=1)
         assert len({solve_rmc(p.d_obs, p.mask, one).trace[0].alpha
                     for _ in range(10)}) == 1
+
+
+class TestRangeStart:
+    """U starts from a basis of the range of D on Omega, so V turns nonzero
+    on tall problems too. d fixed coordinate vectors see d rows of D only,
+    and from them these problems end at rank 0 and relerr 1."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("shape, obs_frac", [
+        pytest.param((2000, 500), 1.0, id="rpca-2000x500"),
+        pytest.param((4000, 250), 1.0, id="rpca-4000x250"),
+        pytest.param((1000, 500), 0.7, id="rmc-1000x500-70%")])
+    def test_tall_problem_recovers(self, shape, obs_frac, seed):
+        p = planted(*shape, spike_frac=0.05, obs_frac=obs_frac, seed=seed)
+        cfg = SolverConfig(d=6)
+        if obs_frac == 1.0:
+            res = solve_rpca(p.d_obs, cfg)
+        else:
+            res = solve_rmc(p.d_obs, p.mask, cfg)
+        assert res.termination == "converged"
+        assert relative_error(res.low_rank(), p.l0) <= 1e-3
+
+    def test_too_few_observations_stay_at_rank_zero(self):
+        p = planted(400, 400, r=5, spike_frac=0.05, obs_frac=0.05, seed=3)
+        res = solve_rmc(p.d_obs, p.mask, SolverConfig(d=10))
+        assert res.termination == "converged"
+        assert all(rec.rank == 0 for rec in res.trace)
+        assert not np.any(res.low_rank())
 
 
 class TestSolveRpca:

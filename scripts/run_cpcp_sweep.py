@@ -2,8 +2,10 @@
 """Recovery of a low-rank + sparse matrix vs the number of measurements.
 
 Measures y = P_Q(L0 + S0) against a random orthonormal subspace of
-increasing dimension and reports the relative recovery error, tracing the
-phase transition from under- to well-determined regimes.
+increasing dimension and reports the iterations, the relative recovery
+error, the initial penalty alpha0 and the number of warm-up iterations with
+V = 0 (rank0), tracing the phase transition from under- to well-determined
+regimes.
 """
 
 import argparse
@@ -35,7 +37,8 @@ def main(argv=None):
     lam = float(np.sqrt(m))
     print(f"{m}x{n}, rank {args.rank}, {args.spike_frac:.0%} spikes, "
           f"lambda={lam:.3f}")
-    print(f"{'p/mn':>6} {'p':>6} {'iters':>6} {'relerr':>10}")
+    print(f"{'p/mn':>6} {'p':>6} {'iters':>6} {'relerr':>10} "
+          f"{'alpha0':>10} {'rank0':>6}")
     for frac in args.fractions:
         p = int(frac * m * n)
         q = draw_random_subspace(m, n, p, seed=args.seed + 100)
@@ -44,7 +47,11 @@ def main(argv=None):
                            max_iter=1000)
         res = solve_cpcp(y, q, cfg)
         err = relative_error(res.low_rank(), prob.l0)
-        print(f"{frac:>6.2f} {p:>6} {res.iterations:>6} {err:>10.3e}")
+        # iterations before V first turns nonzero
+        ranks = [rec.rank for rec in res.trace]
+        warm_up = next((k for k, rank in enumerate(ranks) if rank), len(ranks))
+        print(f"{frac:>6.2f} {p:>6} {res.iterations:>6} {err:>10.3e} "
+              f"{res.trace[0].alpha:>10.3e} {warm_up:>6}")
 
 
 if __name__ == "__main__":

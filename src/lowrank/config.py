@@ -11,21 +11,40 @@ from functools import cached_property
 import numpy as np
 
 
-# Robust completion's "auto" alpha0 is this multiple of lambda / ||D||_2, the
-# 2-norm of the data on Omega. Its first threshold lambda / alpha0,
-# 2 ||D||_2, lies just above every singular value of E^T U, below which V
-# stays zero; the Frobenius start 1 / ||D||_F puts it at lambda ||D||_F, and
-# the first iterations only lower it. Median iterations, then median / max
-# relerr of L, for the Frobenius start, c = 0.5 and c = 1, from the range
-# finder's U (one BLAS thread of a 2-core Xeon, 5% spikes):
+# Robust completion's and CPCP's "auto" alpha0 is this multiple of lambda /
+# ||D||_2, the 2-norm of the data: D on Omega, or A^T y for CPCP's
+# measurements y. Its first threshold lambda / alpha0, 2 ||D||_2, lies just
+# above every singular value of E^T U (for CPCP, of its first product-step
+# target A^T y), below which V stays zero; the Frobenius start 1 / ||D||_F
+# puts it at lambda ||D||_F, and the first iterations only lower it. Median
+# iterations, then median / max relerr of L, for the Frobenius start,
+# c = 0.5 and c = 1, from the range finder's U (one BLAS thread of a 2-core
+# Xeon, 5% spikes):
 # - 500^2, rank 10, 70% observed, auto lambda, d = 20, seeds 1-16: 66, 30 and
 #   24 iterations; 8.6e-5 / 1.2e-4, 8.9e-5 / 1.2e-4 and 9.6e-5 / 1.1e-4;
 # - 1000^2, rank 3, 20% observed, lambda = 0.7 sqrt(n |Omega| / mn), d = 10,
 #   seeds 1-16: 95, 74.5 and 65 iterations; 1.1e-4 / 1.2e-4, 1.2e-4 /
 #   1.2e-4 and 1.1e-4 / 1.2e-4;
-# - 250^2, rank 3, 20% observed, the same lambda, d = 6, seeds 100-199: 7
-#   runs above relerr 1e-3 at c = 0.5 and the same 7 at c = 1.
-# c stays 0.5: c = 1 costs no recovery here, but no stop at c = 1 has been
+# - 250^2, rank 3, 20% observed, d = 6, seeds 100-199: the runs above
+#   relerr 1e-3 at c = 0.5, 0.75, 1, 1.25 and 1.5 are 9, 12, 9, 20 and 43
+#   with lambda = 0.7 sqrt(50), not monotone in c, and 8, 10, 10, 17 and 45
+#   with the lambda above (other hardware read 7, 13, 7, 17 and 42 with
+#   0.7 sqrt(50)): single seeds here turn on rounding and on lambda.
+# CPCP, rank 3, 5% spikes, d = 6, lambda = sqrt(n), tol 1e-10, U from eye:
+# - 45^2, p = 0.75 mn, seeds 1000-1039 drawn as perfbench's cpcp-subspace
+#   draws them: 63 iterations (14 with V = 0) from 1 / ||y||; 49, 46 (4 with
+#   V = 0), 44 and 42 at c = 0.35, 0.5, 0.7 and 1; no run above relerr 1e-3
+#   on either side, median 1.15e-5 from 1 / ||y|| and 1.02e-5 at c = 0.5.
+#   Drawn as criterion 07 draws its instances (planted seed s, subspace
+#   seed s + 100), seed 1000, 99 iterations and relerr 6.3e-6 from
+#   1 / ||y||, ends converged at relerr 1.2e-4, 1.9e-3, 3.8e-3 and 9.7e-4
+#   at c = 0.35, 0.5, 0.7 and 1;
+# - 30^2, p = 675, seeds 1-60, drawn as criterion 07 draws them: 66
+#   iterations from 1 / ||y||; 55, 52, 50 and 48 at c = 0.35, 0.5, 0.7 and
+#   1; the same 10 seeds end above relerr 1e-3 from every start, none above
+#   5e-2.
+# c stays 0.5: c = 1 ties c = 0.5 at 250^2 with lambda = 0.7 sqrt(50), but
+# as a point on a jagged curve, not a margin, and no stop at c = 1 has been
 # checked against the KKT residuals or a convex reference, as any faster
 # penalty schedule must be.
 # Plain completion keeps the Frobenius start: on the benchmark's ratings
@@ -58,8 +77,8 @@ class SolverConfig:
     # penalty growth factor, (1.0, 1.1] advised; validate gives the
     # measured cliff above 1.1
     rho: float = 1.1
-    # initial penalty; "auto" -> 0.5 lam / ||data||_2 for RMC and RPCA,
-    # 1 / ||data||_F for MC and CPCP (resolve_alpha0)
+    # initial penalty; "auto" -> 0.5 lam / ||data||_2 for RMC, RPCA and
+    # CPCP (whose data is A^T y), 1 / ||data||_F for MC (resolve_alpha0)
     alpha0: float | str = "auto"
     alpha_max: float = 1e10
     tol: float = 1e-4                # relative stopping tolerance
@@ -150,7 +169,9 @@ class SolverConfig:
         is 0). Otherwise, given ``data_norm_2``, a function that returns the
         data's 2-norm and is called only when needed, it is SPECTRAL_START *
         ``lam`` / that norm, at most alpha_max, where that is positive and
-        finite; failing that, 1 / ``data_norm``."""
+        finite; failing that, 1 / ``data_norm``. RMC, RPCA and CPCP pass
+        ``data_norm_2``, of D on Omega and of A^T y for CPCP's measurements
+        y, so their "auto" is spectral; MC passes none."""
         if self.alpha0 != "auto":
             return float(self.alpha0)
         if not data_norm > 0:

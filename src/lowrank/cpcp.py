@@ -20,6 +20,15 @@ step, both dropped while V = 0 (the sparse step then reuses the product
 step's gradient, the same vector); and one forward of S, which a
 ``SubspaceOperator`` forms from S's nonzero entries alone while they are
 few. By linearity this is the iteration that forms forward(U V^T + S).
+
+The penalty starts as robust completion's does: "auto" alpha0 is
+SPECTRAL_START * lambda / ||A^T y||_2 (``SolverConfig.resolve_alpha0``),
+with A the forward map and y the measurements. On iteration 1 fit and
+multiplier are zero, so the product step's target is A^T y, and the first
+threshold lambda / alpha0 = 2 ||A^T y||_2 lies just above every singular
+value of that target, below which V stays zero. Iteration 1's product-step
+adjoint does not depend on alpha, so it is taken once, before the loop, and
+gives the norm too; the norm is the only one estimated (``linalg.norm_2``).
 """
 
 import numpy as np
@@ -27,7 +36,7 @@ import numpy as np
 from .config import Iterate, IterationRecord, SolveResult
 # perfbench/tracing.py patches spectral_norm and nuclear_norm in this module,
 # so they stay importable from it; the solver calls neither.
-from .linalg import spectral_norm  # noqa: F401
+from .linalg import norm_2, spectral_norm  # noqa: F401
 from .prox import soft_threshold, svt
 from .rmc import nuclear_norm, orthonormal_factor  # noqa: F401
 
@@ -68,7 +77,9 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
 
     lam = cfg.resolve_lambda(m, n)
     y_norm = float(np.linalg.norm(y_meas))
-    alpha = cfg.resolve_alpha0(y_norm)
+    # iteration 1's product-step adjoint, of fit - y - dual / alpha = -y
+    adj = q.adjoint(-y_meas)
+    alpha = cfg.resolve_alpha0(y_norm, lam, lambda: norm_2(adj))
 
     d = cfg.d
     u = np.eye(m, d)
@@ -93,7 +104,9 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         # The data-fit gradient carries a factor alpha and the Gram operator
         # has norm 1, so the quadratic's Lipschitz constant is alpha.
         step = 1.0 / alpha
-        grad_t = alpha * q.adjoint(fit - y_meas - dual / alpha)
+        if k > 1:
+            adj = q.adjoint(fit - y_meas - dual / alpha)
+        grad_t = alpha * adj
         b = t - step * grad_t
         if rank_prev:                # else V = 0 and B V = 0: U is kept
             u = orthonormal_factor(b @ v, "qr")

@@ -1,14 +1,16 @@
 """Dense linear-algebra kernels: thin QR, thin SVD, spectral-norm estimation.
 
-Thin QR and SVD are the numerical primitives the solvers need; no solver
-calls ``spectral_norm``. All functions are pure and operate on plain float64
-numpy arrays (row-major).
+Thin QR and SVD are the numerical primitives the solvers need, and
+``norm_2`` the matrix 2-norm their "auto" alpha0 reads; no solver calls
+``spectral_norm``. All functions are pure and operate on plain float64
+numpy arrays (row-major), ``norm_2`` on scipy sparse arrays too.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.sparse.linalg import svds
 
 # Singular values below RANK_CUTOFF * sigma_max are treated as zero.
 RANK_CUTOFF = 1e-12
@@ -104,6 +106,19 @@ def svd_thin(a):
     else:
         r = 0
     return ThinSvd(u[:, :r].copy(), s[:r].copy(), vt[:r].T.copy())
+
+
+def norm_2(a, entries=None):
+    """||a||_2 of a dense or scipy sparse matrix ``a``. For a 1 x n or m x 1
+    matrix it is the Frobenius norm, taken of ``entries`` when given (a
+    vector holding a's nonzero entries) and of ``a`` otherwise: ARPACK needs
+    min(m, n) >= 2. Else it is ARPACK's largest singular value from a seeded
+    start vector, as ARPACK's own is random and a rerun must be
+    bit-identical."""
+    if min(a.shape) == 1:
+        return float(np.linalg.norm(a if entries is None else entries))
+    start = np.random.default_rng(0).standard_normal(min(a.shape))
+    return float(svds(a, k=1, v0=start, return_singular_vectors=False)[0])
 
 
 def spectral_norm(op, shape, seed=0, tol=1e-6, max_iter=500):

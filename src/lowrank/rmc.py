@@ -54,13 +54,12 @@ import math
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.linalg import svds
 
 # perfbench/tracing.py patches these names in this module, mask_project,
 # soft_threshold, svd_thin and nuclear_norm included, so they stay importable
 # from it; the solvers do not call those four.
 from .config import Iterate, IterationRecord, SolveResult
-from .linalg import check_matrix, qr_thin, svd_thin  # noqa: F401
+from .linalg import check_matrix, norm_2, qr_thin, svd_thin  # noqa: F401
 from .measurements import ObservationMask, mask_project  # noqa: F401
 from .prox import soft_threshold, svt  # noqa: F401
 
@@ -197,14 +196,8 @@ class _OmegaMatrix:
             take(indices, out=out[span], mode="clip")
 
     def norm_2(self):
-        """||E||_2 of the E last loaded: the Frobenius norm of a 1 x n or
-        m x 1 matrix, else ARPACK's from a seeded start vector, as ARPACK's
-        own is random and a rerun must be bit-identical."""
-        if min(self._e.shape) == 1:
-            return float(np.linalg.norm(self._values))
-        start = np.random.default_rng(0).standard_normal(min(self._e.shape))
-        return float(svds(self._e, k=1, v0=start,
-                          return_singular_vectors=False)[0])
+        """||E||_2 of the E last loaded (``linalg.norm_2``)."""
+        return norm_2(self._e, self._values)
 
 
 def _product_change(u, v, u_prev, v_prev):

@@ -230,7 +230,8 @@ PATHS = [0.15, 0.7]
 
 class TestSpectralStart:
     """Robust completion's "auto" alpha0 is SPECTRAL_START * lambda /
-    ||D on Omega||_2; plain completion and CPCP keep their own start."""
+    ||D on Omega||_2, and CPCP's SPECTRAL_START * lambda / ||A^T y||_2;
+    plain completion keeps its own start."""
 
     @pytest.mark.parametrize("obs_frac", PATHS)
     def test_auto_alpha0_is_spectral(self, obs_frac):
@@ -268,11 +269,32 @@ class TestSpectralStart:
         res = solve_mc(p.d_obs, p.mask, SolverConfig(lam=1.0, d=4, max_iter=2))
         assert res.trace[0].alpha == frobenius_start(p.d_obs, p.mask)
 
-    def test_cpcp_keeps_frobenius_start(self):
+    def test_cpcp_auto_alpha0_is_spectral(self):
+        # iteration 1's product-step target is A^T y
         p = planted(m=12, n=10, r=2, obs_frac=1.0, seed=16)
         q = draw_random_subspace(12, 10, 90, seed=16)
         y = q.forward(p.l0 + p.s0)
         res = solve_cpcp(y, q, SolverConfig(lam=1.0, d=3, max_iter=2))
+        assert res.trace[0].alpha == pytest.approx(
+            SPECTRAL_START * 1.0 / np.linalg.norm(q.adjoint(y), 2),
+            rel=1e-12)
+
+    @pytest.mark.parametrize("obs_frac", PATHS)
+    def test_cpcp_on_a_mask_starts_where_rmc_does(self, obs_frac):
+        # on a mask, A^T y is D on Omega
+        p = planted(obs_frac=obs_frac, seed=22)
+        cfg = SolverConfig(d=6, max_iter=1)
+        cpcp_start = solve_cpcp(p.mask.forward(p.d_obs), p.mask,
+                                cfg).trace[0].alpha
+        rmc_start = solve_rmc(p.d_obs, p.mask, cfg).trace[0].alpha
+        assert cpcp_start == pytest.approx(rmc_start, rel=1e-10)
+
+    @pytest.mark.parametrize("lam", [0.0, np.inf])
+    def test_cpcp_no_positive_finite_start_keeps_frobenius_start(self, lam):
+        p = planted(m=12, n=10, r=2, obs_frac=1.0, seed=16)
+        q = draw_random_subspace(12, 10, 90, seed=16)
+        y = q.forward(p.l0 + p.s0)
+        res = solve_cpcp(y, q, SolverConfig(lam=lam, d=3, max_iter=2))
         assert res.trace[0].alpha == 1.0 / np.linalg.norm(y)
 
     def test_zero_data_on_omega_starts_at_one(self):

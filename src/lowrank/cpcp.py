@@ -112,7 +112,7 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
             u = orthonormal_factor(b @ v, "qr")
         # SVT of the d x n step target, applied in its n x d orientation
         # (unitarily equivalent) so the small side carries the thresholding.
-        v, shrunk = svt((u.T @ b).T, lam / alpha)
+        v, shrunk, _ = svt((u.T @ b).T, lam / alpha)
         rank = shrunk.size
         t = u @ v.T
         if rank or rank_prev:

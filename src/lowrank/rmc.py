@@ -9,14 +9,19 @@ The penalty follows a geometric schedule. A once-only rank-shrinking
 heuristic watches the eigenvalue quotients of V^T V for a dominant spectral
 jump.
 
-For robust completion, with W = D - L + Y / alpha on Omega, the step is that
-of scaled-form ADMM (Boyd et al., "Distributed Optimization and Statistical
-Learning via the Alternating Direction Method of Multipliers", 2011,
-section 3.1.1) in closed form: with C = clip(W, -1/alpha, 1/alpha), the
-sparse part is S = W - C (W soft-thresholded by 1/alpha) and the new
-multiplier is Y = alpha C, so |Y| <= 1 on Omega and Y = sign(S) wherever
-S is nonzero. The nuclear norm in the objective is the sum of the singular
-values that ``svt`` returns; no second SVD is taken.
+The step is that of scaled-form ADMM (Boyd et al., "Distributed
+Optimization and Statistical Learning via the Alternating Direction Method
+of Multipliers", 2011, sections 3.1.1 and 3.4.1): the loop carries the
+scaled multiplier C = Y / alpha, never Y, and rescales it by
+kappa = alpha_prev / alpha when the penalty grows. With
+W = D - L + kappa C_prev on Omega, robust completion's step is
+C = clip(W, -1/alpha, 1/alpha), and the sparse part is S = W - C (W
+soft-thresholded by 1/alpha). So Y = alpha C has |Y| <= 1 on Omega and
+Y = sign(S) wherever S is nonzero, and ||S||_1 = <Y, S>. Plain completion's
+step is C = W / (1 + alpha). For both Z - L = C - kappa C_prev. Y itself is
+formed only for the result and for a callback that reads it. The nuclear
+norm in the objective is the sum of the singular values that ``svt``
+returns; no second SVD is taken.
 
 Off Omega the multiplier stays zero and the target P equals the previous
 product U V^T, so P differs from that product only on Omega. The two products
@@ -24,13 +29,19 @@ with P are therefore a rank-d term plus a product with a matrix E that is
 zero off Omega (the sparse-plus-low-rank products of Mazumder, Hastie and
 Tibshirani's Soft-Impute), and L = U V^T is needed only on Omega. One object,
 ``_OmegaMatrix``, holds E and evaluates L on Omega by row blocks, one GEMM per
-block into one small reused buffer. Its constructor picks E's layout. Below
+block into one small reused buffer. L is evaluated from ``svt``'s kept
+factors, V = W_k Z_k^T with W_k scaled by the shrunk values, as
+(U Z_k) W_k^T: the GEMMs run at inner size k, the rank of V, not d. The
+step writes Z - L into E's Omega values, and once alpha grows one BLAS
+daxpy adds kappa C there, which gives the next E = (Z - L) + Y / alpha in
+place. Its constructor picks E's layout. Below
 an observed fraction |Omega| / mn of SPARSE_DENSITY, E is a CSR array whose
 values are the Omega vector itself: its two products cost O(|Omega| d), and
 the loop allocates no m x n array. Above the cut, E is a dense m x n buffer,
 the loop's one m x n array, and its products are GEMMs of width d. The rest
-is O(|Omega|) elementwise work on vectors held in buffers allocated once,
-and no vector of length |Omega| is allocated in the loop. The dense sparse
+is O(|Omega|) elementwise work on vectors held in buffers allocated once:
+per iteration, eight passes that each write one such vector and two
+reductions. No vector of length |Omega| is allocated in the loop. The dense sparse
 part and multiplier are formed for the result, and for ``iter_callback`` only
 when its ``Iterate`` view is read; a callback that reads neither leaves the
 run bit-identical to one without a callback.
@@ -53,6 +64,7 @@ zero, so the factor update and the evaluation of L are skipped.
 import math
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 from scipy.sparse import csr_array
 
 # perfbench/tracing.py patches these names in this module, mask_project,
@@ -143,7 +155,9 @@ class _OmegaMatrix:
     iteration, and the evaluation of L = U V^T on Omega. The constructor
     alone picks E's layout, as the module docstring describes, and allocates
     every buffer the methods write, so none allocates a vector of length
-    |Omega| or an m x n array.
+    |Omega| or an m x n array. ``values`` is E on Omega, a buffer the caller
+    may write between loads: the CSR array's own values, or the vector that
+    ``load`` and ``add`` scatter into the dense buffer.
 
     U V^T is evaluated by blocks of rows, one GEMM per block that holds Omega
     entries, into one buffer of about BLOCK_ENTRIES entries; the block bounds
@@ -172,19 +186,29 @@ class _OmegaMatrix:
                 bounds[:-1].tolist(), bounds[1:].tolist()) if lo < hi]
         if mask.dim < SPARSE_DENSITY * m * n:
             e = csr_array((np.zeros(flat.size), flat % n, indptr), shape=(m, n))
-            self._values, self._dense = e.data, None
+            self.values, self._dense = e.data, None
         else:
             e = np.zeros((m, n))
-            self._values, self._dense = np.zeros(flat.size), e.reshape(-1)
+            self.values, self._dense = np.zeros(flat.size), e.reshape(-1)
         self._e, self._e_t = e, e.T
         if self._dense is None and not np.shares_memory(self._e_t.data, e.data):
             raise RuntimeError("the CSC transpose does not share the CSR values")
 
-    def load(self, gap, scaled):
-        """Write E = ``gap`` + ``scaled`` on Omega; return E and E^T."""
-        np.add(gap, scaled, out=self._values)
+    def load(self, values):
+        """Write E = ``values`` on Omega; return E and E^T."""
+        np.copyto(self.values, values)
+        return self._scatter()
+
+    def add(self, c, scale):
+        """Add ``scale`` * ``c`` to E on Omega, in place by one BLAS daxpy,
+        whose bits do not depend on the buffers' alignment; return E and
+        E^T."""
+        daxpy(c, self.values, a=scale)
+        return self._scatter()
+
+    def _scatter(self):
         if self._dense is not None:
-            self._dense[self._flat] = self._values
+            self._dense[self._flat] = self.values
         return self._e, self._e_t
 
     def low_rank(self, u, v, out):
@@ -197,7 +221,7 @@ class _OmegaMatrix:
 
     def norm_2(self):
         """||E||_2 of the E last loaded (``linalg.norm_2``)."""
-        return norm_2(self._e, self._values)
+        return norm_2(self._e, self.values)
 
 
 def _product_change(u, v, u_prev, v_prev):
@@ -221,17 +245,19 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     Both split L = U V^T from a target Z held on Omega only: Z = D - S for
     robust completion, the auxiliary matrix for plain completion. Off Omega
     Z equals the product and the multiplier Y is zero, so the residual Z - L
-    and the dual step live on Omega too. The Z-update and dual step of each
-    solver have one closed form, passed in as
+    and the dual step live on Omega too. The loop carries C = Y / alpha in
+    place of Y. The Z-update and dual step of each solver have one closed
+    form, passed in as
 
-    - ``step(data, low, y, scaled, alpha, gap, work)``: given L on Omega in
-      ``low``, Y in ``y`` and ``scaled`` = Y / alpha, overwrite ``y`` with
-      the new Y and ``gap`` with the new Z - L on Omega, and return the data
-      part of the objective. The step may overwrite ``scaled`` and uses
-      ``work`` as scratch space, but when ``robust`` it leaves S on Omega in
-      ``work``: it is what the callback and the result report. Otherwise the
-      callback's ``Iterate.s`` is the auxiliary matrix Z = L + (Z - L) in
-      place of S, and S is zero;
+    - ``step(data, low, c_prev, kappa, alpha, c, gap, work)``: given L on
+      Omega in ``low`` and the last C in ``c_prev``, so that
+      Y_prev / alpha = ``kappa`` C_prev with kappa = alpha_prev / alpha,
+      write the new C into ``c`` and Z - L on Omega into ``gap``, and return
+      the data part of the objective. The step uses ``work`` as scratch
+      space, but when ``robust`` it leaves S on Omega in ``work``: it is
+      what the callback and the result report.
+      Otherwise the callback's ``Iterate.s`` is the auxiliary matrix
+      Z = L + (Z - L) in place of S, and S is zero;
     - ``stop(u, v, u_prev, v_prev)``: a stopping test besides the residual,
       returning the ratio it compares with ``tol`` (None where it compares
       none) and whether the test holds. Without it, the residual over
@@ -239,13 +265,16 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
 
     U starts as the range finder's basis of E_0 = D on Omega, the Q of the
     thin QR of E_0 G for a seeded n x d Gaussian G, and the same load of E_0
-    gives ``norm_2`` for robust completion's alpha0. The next iteration's
-    E = P - L on Omega is (Z - L) + Y / alpha, which ``_OmegaMatrix.load``
-    writes from ``gap``. While V = 0 (``rank``, the size of ``svt``'s shrunk
-    values, is 0) the factor update and the evaluation of L are skipped.
-    Every buffer is allocated once, so an iteration allocates no vector of
-    length |Omega|; its one SVD is inside ``svt``, whose shrunk values give
-    V's nuclear norm.
+    gives ``norm_2`` for robust completion's alpha0. ``gap`` is E's own
+    Omega buffer, ``_OmegaMatrix.values``: the next iteration's
+    E = P - L on Omega is (Z - L) + Y / alpha_next, which
+    ``_OmegaMatrix.add`` forms there in place, as (Z - L) + kappa C with the
+    next kappa. The two C buffers swap each iteration. L on Omega is
+    evaluated from ``svt``'s factors at inner size ``rank``, the number of
+    shrunk values; while V = 0 (``rank`` is 0) the factor update and the
+    evaluation of L are skipped. Every buffer is allocated once, so an
+    iteration allocates no vector of length |Omega|; its one SVD is inside
+    ``svt``, whose shrunk values give V's nuclear norm.
     ``iter_callback`` receives an ``Iterate`` view over these buffers, which
     forms the m x n S and Y only when read.
     """
@@ -262,7 +291,7 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     d = cfg.d
     # E = P - U_prev V_prev^T, zero off Omega; it starts as D on Omega
     omega = _OmegaMatrix(mask)
-    e, _ = omega.load(data, 0.0)
+    e, e_t = omega.load(data)
     alpha = cfg.resolve_alpha0(obs_norm, lam,
                                omega.norm_2 if robust else None)
     u = qr_thin(e @ np.random.default_rng(0).standard_normal((n, d))).q
@@ -271,10 +300,11 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     # Factors of the product that P equals off Omega; the rank adjustment
     # truncates U and V but not these.
     u_prev, v_prev = u, v
-    y = np.zeros_like(data)
-    low = np.zeros_like(data)      # U_prev V_prev^T on Omega
-    gap = data.copy()              # Z - U_prev V_prev^T on Omega; Z starts at D
-    scaled = np.empty_like(data)   # Y / alpha
+    low = np.zeros_like(data)      # U V^T on Omega
+    gap = omega.values             # Z - U V^T on Omega, then the next E
+    c = np.zeros_like(data)        # Y / alpha
+    c_prev = np.zeros_like(data)   # the last Y / alpha_prev; Y starts at 0
+    kappa = 1.0                    # alpha_prev / alpha
     work = np.zeros_like(data)     # S on Omega after a robust step
 
     def dense_split(it):
@@ -285,24 +315,23 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
         split.reshape(-1)[mask.flat_indices] = work if robust else low + gap
         return split
 
-    forms = {"s": dense_split, "y": lambda it: mask.adjoint(y),
+    forms = {"s": dense_split, "y": lambda it: mask.adjoint(alpha * c),
              "support": lambda it: int(np.count_nonzero(work)) if robust else 0}
     adjusted = False
     trace = []
     termination = "max_iter_reached"
 
     for k in range(1, cfg.max_iter + 1):
-        np.divide(y, alpha, out=scaled)
-        e, e_t = omega.load(gap, scaled)
         if rank:                   # while V = 0, P V = 0 and U is kept
             u = orthonormal_factor(u_prev @ (v_prev.T @ v) + e @ v, u_scheme)
-        v, shrunk = svt(v_prev @ (u_prev.T @ u) + e_t @ u, lam / alpha)
+        v, shrunk, (w_k, z_k_t) = svt(v_prev @ (u_prev.T @ u) + e_t @ u,
+                                      lam / alpha)
         rank = shrunk.size
-        if rank:
-            omega.low_rank(u, v, low)
+        if rank:                   # L = U V^T = (U Z_k) W_k^T
+            omega.low_rank(u @ z_k_t.T, w_k, low)
         else:
             low.fill(0.0)
-        data_term = step(data, low, y, scaled, alpha, gap, work)
+        data_term = step(data, low, c_prev, kappa, alpha, c, gap, work)
         residual = float(np.linalg.norm(gap))
         objective = data_term + lam * float(shrunk.sum())
         if stop is None:
@@ -316,11 +345,17 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
         if residual < threshold or done:
             termination = "converged"
             break
-        alpha = min(cfg.rho * alpha, cfg.alpha_max)
+        # nothing moves after the last iteration: the result is the iterate
+        # last recorded, with Y = alpha C
+        if k == cfg.max_iter:
+            break
+        alpha_next = min(cfg.rho * alpha, cfg.alpha_max)
+        kappa = alpha / alpha_next
+        e, e_t = omega.add(c, kappa)
+        alpha = alpha_next
+        c, c_prev = c_prev, c
         u_prev, v_prev = u, v
-        # not after the last iteration: the result is the iterate last recorded
-        if cfg.adjust_rank and not adjusted and \
-                RANK_ADJUST_START <= k < cfg.max_iter:
+        if cfg.adjust_rank and not adjusted and k >= RANK_ADJUST_START:
             new_d = adjust_rank_once(v, d)
             if new_d != d:
                 basis = _rank_truncation_basis(v, new_d)
@@ -330,8 +365,43 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
                 adjusted = True
 
     s = mask.adjoint(work) if robust else np.zeros((m, n))
-    return SolveResult(u=u, v=v, s=s, y=mask.adjoint(y),
+    return SolveResult(u=u, v=v, s=s, y=mask.adjoint(alpha * c),
                        trace=trace, termination=termination)
+
+
+def _robust_step(data, low, c_prev, kappa, alpha, c, gap, work):
+    """Robust completion's step on Omega, in ``_admm``'s contract.
+
+    With W = D - L + Y_prev / alpha, C = clip(W, +-1/alpha) is the new
+    Y / alpha and S = W - C the soft-thresholded W; Z - L = D - S - L is
+    then C - Y_prev / alpha, and the data term ||S||_1 is <Y, S> = alpha
+    <C, S>, as Y = sign(S) wherever S is nonzero. Six elementwise passes
+    and one dot product.
+    """
+    np.multiply(c_prev, kappa, out=gap)              # Y_prev / alpha
+    np.subtract(data, low, out=work)
+    work += gap                                      # W
+    np.clip(work, -1.0 / alpha, 1.0 / alpha, out=c)
+    work -= c                                        # S
+    np.subtract(c, gap, out=gap)
+    return alpha * float(np.dot(work, c))
+
+
+def _mc_step(data, low, c_prev, kappa, alpha, c, gap, work):
+    """Plain completion's step on Omega, in ``_admm``'s contract.
+
+    On Omega Z = (D + alpha L - Y_prev) / (1 + alpha) and
+    Y = Y_prev + alpha (Z - L), so with W = D - L + Y_prev / alpha the new
+    Y / alpha is C = W / (1 + alpha), and Z - L = C - Y_prev / alpha. The
+    data term is ||D - L||^2 / 2 on Omega.
+    """
+    np.multiply(c_prev, kappa, out=gap)              # Y_prev / alpha
+    np.subtract(data, low, out=work)
+    fit = 0.5 * float(np.dot(work, work))
+    work += gap                                      # W
+    np.divide(work, 1.0 + alpha, out=c)
+    np.subtract(c, gap, out=gap)
+    return fit
 
 
 def solve_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
@@ -345,23 +415,10 @@ def solve_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None):
     mask S is the exact fill-in -U V^T and Y is zero. The returned S is zero
     off the mask.
     """
-    def step(data, low, y, scaled, alpha, gap, work):
-        # W = D - L + Y/alpha and C = clip(W, +-1/alpha): S = W - C is the
-        # soft-thresholded W, Z - L = D - S - L = C - Y/alpha and the new
-        # multiplier Y + alpha (Z - L) = alpha C, so |Y| <= 1.
-        tau = 1.0 / alpha
-        np.subtract(data, low, out=work)
-        work += scaled
-        np.clip(work, -tau, tau, out=gap)
-        work -= gap
-        np.multiply(gap, alpha, out=y)
-        gap -= scaled
-        return float(np.abs(work, out=scaled).sum())   # ||S||_1
-
     if u_scheme not in ("qr", "svd"):
         raise ValueError(f"unknown factor update scheme {u_scheme!r}")
-    return _admm(d_obs, mask, cfg, step, robust=True, u_scheme=u_scheme,
-                 iter_callback=iter_callback)
+    return _admm(d_obs, mask, cfg, _robust_step, robust=True,
+                 u_scheme=u_scheme, iter_callback=iter_callback)
 
 
 def solve_rpca(d_obs, cfg, iter_callback=None):
@@ -383,17 +440,6 @@ def solve_mc(d_obs, mask, cfg, iter_callback=None):
     an ``Iterate`` view whose ``s`` is the auxiliary matrix in place of a
     sparse part.
     """
-    def step(data, low, y, scaled, alpha, gap, work):
-        # On Omega Z = (D + alpha L - Y) / (1 + alpha), so
-        # Z - L = (D - L - Y) / (1 + alpha).
-        np.subtract(data, low, out=work)
-        fit = 0.5 * float(np.dot(work, work))   # ||D - L||^2 / 2 on Omega
-        work -= y
-        np.divide(work, 1.0 + alpha, out=gap)
-        np.multiply(gap, alpha, out=work)
-        y += work
-        return fit
-
     def small_change(u, v, u_prev, v_prev):
         base = float(np.linalg.norm(v_prev))   # ||U_prev V_prev^T||_F
         if not base > 0:
@@ -401,5 +447,5 @@ def solve_mc(d_obs, mask, cfg, iter_callback=None):
         change = _product_change(u, v, u_prev, v_prev)
         return change / base, change < cfg.tol * base
 
-    return _admm(d_obs, mask, cfg, step, robust=False, stop=small_change,
+    return _admm(d_obs, mask, cfg, _mc_step, robust=False, stop=small_change,
                  iter_callback=iter_callback)

@@ -6,18 +6,29 @@ after every iteration |Y| <= 1 on Omega, Y = 0 off it, and Y = sign(S)
 wherever S is nonzero: the optimality conditions of the l1 term. The step
 works in buffers allocated once, and the objective's nuclear norm comes
 from the SVD inside ``svt``.
+
+The driver carries C = Y / alpha in place of Y. Its steps are checked
+against the steps that carried Y, kept here as references with the
+driver's Omega phase around them: S, Y, Z - L, the next E, the data term
+and the residual agree to a few units in the last place. The reductions
+and the in-place update of E give the same bits wherever their buffers
+sit in memory, so that two runs of one command write the same bytes.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrank import rmc
 from lowrank.config import SolverConfig
 from lowrank.cpcp import solve_cpcp
 from lowrank.datasets import generate_planted
-from lowrank.rmc import SPARSE_DENSITY, solve_mc, solve_rmc, solve_rpca
+from lowrank.measurements import ObservationMask
+from lowrank.rmc import (SPARSE_DENSITY, _mc_step, _OmegaMatrix, _robust_step,
+                         solve_mc, solve_rmc, solve_rpca)
 
 KKT_TOL = 1e-12
 
@@ -115,3 +126,180 @@ def test_one_svd_per_iteration(monkeypatch, solver):
     else:
         res = {"rmc": solve_rmc, "mc": solve_mc}[solver](p.d_obs, p.mask, cfg)
     assert len(calls) == res.iterations
+
+
+def reference_robust_step(data, low, y, scaled, alpha, gap, work):
+    """Robust completion's step as it carried Y: ``y`` is overwritten with
+    the new Y, ``scaled`` holds Y / alpha on entry."""
+    tau = 1.0 / alpha
+    np.subtract(data, low, out=work)
+    work += scaled
+    np.clip(work, -tau, tau, out=gap)
+    work -= gap
+    np.multiply(gap, alpha, out=y)
+    gap -= scaled
+    return float(np.abs(work, out=scaled).sum())   # ||S||_1
+
+
+def reference_mc_step(data, low, y, scaled, alpha, gap, work):
+    """Plain completion's step as it carried Y."""
+    np.subtract(data, low, out=work)
+    fit = 0.5 * float(np.dot(work, work))
+    work -= y
+    np.divide(work, 1.0 + alpha, out=gap)
+    np.multiply(gap, alpha, out=work)
+    y += work
+    return fit
+
+
+def reference_phase(step, data, low, y_prev, alpha, alpha_next):
+    """The Omega phase of one iteration of the driver that carried Y: the
+    step, the residual and the next E = (Z - L) + Y / alpha_next."""
+    y, gap, work = y_prev.copy(), np.empty_like(data), np.empty_like(data)
+    term = step(data, low, y, y_prev / alpha, alpha, gap, work)
+    return {"s": work, "y": y, "gap": gap, "term": term,
+            "residual": float(np.linalg.norm(gap)),
+            "e_next": gap + y / alpha_next}
+
+
+def carried_phase(step, data, low, c_prev, alpha_prev, alpha, alpha_next):
+    """The same phase as the driver runs it: C = Y / alpha, Z - L written
+    into E's Omega values, and the next E formed there in place."""
+    omega = _OmegaMatrix(ObservationMask.full(1, data.size))
+    c, work, gap = np.empty_like(data), np.empty_like(data), omega.values
+    term = step(data, low, c_prev, alpha_prev / alpha, alpha, c, gap, work)
+    residual = float(np.linalg.norm(gap))
+    gap = gap.copy()
+    omega.add(c, alpha / alpha_next)
+    return {"s": work, "y": alpha * c, "gap": gap, "term": term,
+            "residual": residual, "e_next": omega.values}
+
+
+ULPS = 8 * np.finfo(float).eps
+
+STEPS = {"robust": (_robust_step, reference_robust_step),
+         "mc": (_mc_step, reference_mc_step)}
+
+
+def check_phase(solver, data, low, c_prev, alpha_prev, alpha, alpha_next):
+    """The carried phase agrees with the reference to ULPS of the scale of
+    the step's inputs, W = D - L + Y_prev / alpha, elementwise; the data
+    term and the residual to that over all entries."""
+    step, reference = STEPS[solver]
+    got = carried_phase(step, data, low, c_prev, alpha_prev, alpha,
+                        alpha_next)
+    want = reference_phase(reference, data, low, alpha_prev * c_prev, alpha,
+                           alpha_next)
+    scale = np.abs(data) + np.abs(low) + alpha_prev / alpha * np.abs(c_prev)
+    y_scale = max(alpha, 1.0) * scale + alpha_prev * np.abs(c_prev)
+    bounds = {"s": scale, "gap": scale, "y": y_scale,
+              "e_next": scale + y_scale / alpha_next}
+    if solver == "robust":
+        bounds["y"] = np.maximum(bounds["y"], 1.0)
+    else:   # S is zero; the step's scratch is not compared
+        del bounds["s"]
+    for name, bound in bounds.items():
+        assert np.all(np.abs(got[name] - want[name]) <= ULPS * bound), name
+    if solver == "robust":
+        np.testing.assert_array_equal(got["s"] != 0, want["s"] != 0)
+        assert np.all(np.abs(got["y"]) <= 1 + ULPS)
+    # ||S||_1 for robust completion, ||D - L||^2 / 2 for plain completion
+    term_bound = scale.sum() if solver == "robust" else \
+        2 * float(np.dot(scale, scale))
+    assert abs(got["term"] - want["term"]) <= ULPS * term_bound
+    assert abs(got["residual"] - want["residual"]) <= \
+        ULPS * float(np.linalg.norm(scale))
+    return got
+
+
+def draw(seed, size, alpha_prev, level, bound_frac):
+    """D, L and a C_prev of a robust step at alpha_prev: |C_prev| is at most
+    1 / alpha_prev, at the bound on about ``bound_frac`` of the entries.
+    D - L is ``level`` times 1 / alpha_prev."""
+    rng = np.random.default_rng(seed)
+    low = rng.standard_normal(size)
+    data = low + level / alpha_prev * rng.standard_normal(size)
+    c_prev = rng.uniform(-1.0, 1.0, size)
+    at_bound = rng.random(size) < bound_frac
+    c_prev[at_bound] = np.sign(c_prev[at_bound])
+    return data, low, c_prev / alpha_prev
+
+
+@pytest.mark.parametrize("solver", sorted(STEPS))
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 400),
+       log_alpha=st.floats(-3, 3), growth=st.sampled_from([1.0, 1.1, 1.5]),
+       log_level=st.floats(-2, 2), bound_frac=st.floats(0, 1))
+def test_carried_step_matches_reference(solver, seed, size, log_alpha, growth,
+                                        log_level, bound_frac):
+    alpha_prev = 10.0**log_alpha
+    data, low, c_prev = draw(seed, size, alpha_prev, 10.0**log_level,
+                             bound_frac)
+    check_phase(solver, data, low, c_prev, alpha_prev, growth * alpha_prev,
+                growth**2 * alpha_prev)
+
+
+@pytest.mark.parametrize("solver", sorted(STEPS))
+def test_first_iteration(solver):
+    # Y = 0: C_prev is zero and kappa is 1
+    data, low, _ = draw(1, 300, 2.0, 3.0, 0.0)
+    check_phase(solver, data, low, np.zeros(300), 2.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("solver", sorted(STEPS))
+def test_alpha_at_alpha_max(solver):
+    # once alpha reaches alpha_max it stays there: kappa = 1 on both sides
+    alpha = SolverConfig().alpha_max
+    data, low, c_prev = draw(2, 300, alpha, 3.0, 0.5)
+    check_phase(solver, data, low, c_prev, alpha, alpha, alpha)
+
+
+@pytest.mark.parametrize("level, clipped", [(1e3, True), (1e-3, False)])
+def test_every_entry_or_no_entry_clipped(level, clipped):
+    # |W| far above or below 1 / alpha on every entry
+    alpha = 4.0
+    rng = np.random.default_rng(3)
+    low = rng.standard_normal(300)
+    w = level / alpha * rng.uniform(1.0, 2.0, 300) * rng.choice([-1, 1], 300)
+    got = check_phase("robust", low + w, low, np.zeros(300), alpha, alpha,
+                      2 * alpha)
+    assert np.all((got["s"] != 0) == clipped)
+    if clipped:
+        assert np.all(np.abs(got["y"]) == alpha * (1.0 / alpha))
+    else:
+        np.testing.assert_array_equal(got["gap"], got["y"] / alpha)
+
+
+@pytest.mark.parametrize("solver", sorted(STEPS))
+def test_zero_data(solver):
+    zero = np.zeros(50)
+    got = check_phase(solver, zero, zero, zero, 1.0, 1.5, 2.0)
+    for name in ("s", "y", "gap", "e_next"):
+        assert not np.any(got[name]), name
+    assert got["term"] == got["residual"] == 0.0
+
+
+def at_offsets(values, count=8):
+    """``values`` copied into ``count`` buffers, each starting one float64
+    further into a fresh allocation than the last."""
+    for offset in range(count):
+        buffer = np.empty(values.size + count)
+        view = buffer[offset:offset + values.size]
+        view[:] = values
+        yield view
+
+
+@pytest.mark.parametrize("size", [7, 1001, 200_003])
+def test_reductions_and_update_ignore_buffer_offsets(size):
+    # The step's data term and the residual are numpy reductions (np.dot,
+    # np.linalg.norm), and the next E is formed by BLAS daxpy in place: each
+    # gives the same bits at every pair of offsets. BLAS dasum does not, so
+    # no step takes ||S||_1 by it.
+    rng = np.random.default_rng(size)
+    x, y = rng.standard_normal((2, size))
+    results = set()
+    for a, b in zip(at_offsets(x), reversed(list(at_offsets(y)))):
+        reductions = (float(np.dot(a, b)), float(np.linalg.norm(a)))
+        assert rmc.daxpy(a, b, a=0.7) is b
+        results.add(reductions + (b.tobytes(),))
+    assert len(results) == 1

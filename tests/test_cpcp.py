@@ -239,7 +239,7 @@ class TestForwardReuse:
                 b = t - step * (alpha * q.adjoint(fit - y - dual / alpha))
                 if v.any():
                     u = orthonormal_factor(b @ v, "qr")
-                v, _ = svt((u.T @ b).T, LAM / alpha)
+                v, _, _ = svt((u.T @ b).T, LAM / alpha)
                 u_k, v_k = snaps[k][:2]
                 assert np.array_equal(u @ v.T, u_k @ v_k.T), k
 

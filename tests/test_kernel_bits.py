@@ -3,9 +3,10 @@
 ``qr_thin`` calls LAPACK's dgeqrf and dorgqr directly and ``svt`` slices one
 ``np.linalg.svd``; both must return the bits of the reference versions kept
 here: ``scipy.linalg.qr`` with the sign fix, and the thresholding of
-``svd_thin``'s copied, boolean-masked factors. Inputs cover the shapes,
-ranks and memory layouts the solvers and the subspace draw pass in, and the
-solvers are run end to end with each pair of kernels.
+``svd_thin``'s copied, boolean-masked factors. ``svt``'s kept factors must
+rebuild its X bit for bit. Inputs cover the shapes, ranks and memory layouts
+the solvers and the subspace draw pass in, and the solvers are run end to
+end with each pair of kernels.
 """
 
 import dataclasses
@@ -43,9 +44,10 @@ def reference_svt(m, mu):
     f = svd_thin(m)
     keep = f.sigma > mu
     shrunk = f.sigma[keep] - mu
+    left, right = f.u[:, keep] * shrunk, f.v[:, keep].T
     if not shrunk.size:
-        return np.zeros_like(m), shrunk
-    return (f.u[:, keep] * shrunk) @ f.v[:, keep].T, shrunk
+        return np.zeros_like(m), shrunk, (left, right)
+    return left @ right, shrunk, (left, right)
 
 
 def assert_same(got, want):
@@ -54,6 +56,22 @@ def assert_same(got, want):
     np.testing.assert_array_equal(got, want, strict=True)
     # signed zeros too, which compare equal
     assert got.tobytes() == want.tobytes()
+
+
+def assert_same_svt(got, want):
+    """``svt``'s X and shrunk values are the reference's bits, and so are
+    its factors, which rebuild its X bit for bit."""
+    (x, shrunk, (left, right)), (want_x, want_shrunk, want_factors) = \
+        got, want
+    assert_same(x, want_x)
+    assert_same(shrunk, want_shrunk)
+    for factor, want_factor in zip((left, right), want_factors):
+        assert factor.shape == want_factor.shape
+        assert factor.tobytes() == np.ascontiguousarray(want_factor).tobytes()
+    assert left.shape == (x.shape[0], shrunk.size)
+    assert right.shape == (shrunk.size, x.shape[1])
+    if shrunk.size:
+        assert (left @ right).tobytes() == x.tobytes()
 
 
 def laid_out(a, layout):
@@ -124,10 +142,7 @@ class TestSvt:
         m = laid_out(drawn(seed, *shape, min(rank, *shape), 10.0**power),
                      layout)
         mu = level * np.linalg.norm(m, 2)
-        x, shrunk = svt(m, mu)
-        want_x, want_shrunk = reference_svt(m, mu)
-        assert_same(x, want_x)
-        assert_same(shrunk, want_shrunk)
+        assert_same_svt(svt(m, mu), reference_svt(m, mu))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=seeds, rows=st.integers(1, 300), cols=st.integers(1, 24),
@@ -137,19 +152,15 @@ class TestSvt:
         # the call svt makes, so mu is one of its singular values exactly
         sigma = np.linalg.svd(m, full_matrices=False)[1]
         mu = float(sigma[min(tie, sigma.size - 1)])
-        x, shrunk = svt(m, mu)
-        want_x, want_shrunk = reference_svt(m, mu)
-        assert_same(x, want_x)
-        assert_same(shrunk, want_shrunk)
-        assert shrunk.size == np.count_nonzero(sigma > mu)
+        got = svt(m, mu)
+        assert_same_svt(got, reference_svt(m, mu))
+        assert got[1].size == np.count_nonzero(sigma > mu)
 
     @pytest.mark.parametrize("mu", [0.0, 1.0])
     @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (0, 3), (3, 0)])
     def test_zero_matrix(self, shape, mu):
-        x, shrunk = svt(np.zeros(shape), mu)
-        want_x, want_shrunk = reference_svt(np.zeros(shape), mu)
-        assert_same(x, want_x)
-        assert_same(shrunk, want_shrunk)
+        assert_same_svt(svt(np.zeros(shape), mu),
+                        reference_svt(np.zeros(shape), mu))
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_truncation_at_rank_cutoff(self, layout):
@@ -160,11 +171,9 @@ class TestSvt:
         v = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         sigma = np.array([5.0, 3.0, 2.0, 1.0, 1e-2 * RANK_CUTOFF, 0.0])
         m = laid_out((u * sigma) @ v.T, layout)
-        x, shrunk = svt(m, 0.0)
-        want_x, want_shrunk = reference_svt(m, 0.0)
-        assert shrunk.size == 4
-        assert_same(x, want_x)
-        assert_same(shrunk, want_shrunk)
+        got = svt(m, 0.0)
+        assert got[1].size == 4
+        assert_same_svt(got, reference_svt(m, 0.0))
 
 
 def solve_all():

@@ -54,6 +54,7 @@ from lowrank.rmc import (
 )
 
 MATCH_RTOL = 1e-10
+EPS = np.finfo(float).eps
 
 
 def _start(d_obs, mask, cfg, robust):
@@ -114,7 +115,7 @@ def dense_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None,
         if v.any():
             p_v = _grouped_product(p, v, u_prev, v_prev) if factored else p @ v
             u = orthonormal_factor(p_v, u_scheme)
-        v, _ = svt(_grouped_product(p.T, u, v_prev, u_prev) if factored
+        v, _, _ = svt(_grouped_product(p.T, u, v_prev, u_prev) if factored
                    else p.T @ u, lam / alpha)
         low_rank = u @ v.T
         a = data - low_rank + y / alpha
@@ -156,7 +157,7 @@ def dense_mc(d_obs, mask, cfg, iter_callback=None):
         p = aux + y / alpha
         if v.any():
             u = orthonormal_factor(p @ v, "qr")
-        v, _ = svt(p.T @ u, lam / alpha)
+        v, _, _ = svt(p.T @ u, lam / alpha)
         low_rank = u @ v.T
         aux = np.where(marker, (data + alpha * low_rank - y) / (1.0 + alpha),
                        low_rank - y / alpha)
@@ -536,7 +537,7 @@ def _layout(cut, mask, monkeypatch):
 
 
 def _is_csr(omega, mask):
-    e, _ = omega.load(np.zeros(mask.dim), np.zeros(mask.dim))
+    e, _ = omega.load(np.zeros(mask.dim))
     return issparse(e)
 
 
@@ -557,13 +558,20 @@ def test_csr_products_match_dense_buffer(name, monkeypatch):
     csr = _layout(LAYOUT_CUTS["csr"], mask, monkeypatch)
     assert _is_csr(csr, mask) and not _is_csr(dense, mask)
     for _ in range(3):   # the values are rewritten in place every iteration
-        gap, scaled = rng.standard_normal((2, flat.size))
+        gap, c = rng.standard_normal((2, flat.size))
+        scale = rng.uniform(0.5, 1.0)
         v = rng.standard_normal((n, 4))
         u = np.linalg.qr(rng.standard_normal((m, 4)))[0]
-        e, e_t = dense.load(gap, scaled)
+        # E = gap + scale c, as the driver forms the next E in place
+        dense.load(gap)
+        e, e_t = dense.add(c, scale)
         np.testing.assert_array_equal(e, np.where(marker, e, 0.0))
-        assert np.array_equal(e.reshape(-1)[flat], gap + scaled)
-        s, s_t = csr.load(gap, scaled)
+        assert np.array_equal(e.reshape(-1)[flat], dense.values)
+        assert np.all(np.abs(dense.values - (gap + scale * c))
+                      <= 4 * EPS * (np.abs(gap) + np.abs(scale * c)))
+        csr.load(gap)
+        s, s_t = csr.add(c, scale)
+        assert np.array_equal(csr.values, dense.values)
         for got, want in ((s @ v, e @ v), (s_t @ u, e_t @ u)):
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -576,13 +584,38 @@ def test_csr_products_match_dense_buffer(name, monkeypatch):
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUT_CUTS))
+@pytest.mark.parametrize("name", sorted(_masks()))
+def test_low_rank_at_inner_size_k_matches_inner_size_d(name, layout,
+                                                        monkeypatch):
+    # The driver evaluates U V^T on Omega from svt's factors of V, as
+    # (U Z_k) W_k^T at inner size k, the rank of V, in place of U V^T at d.
+    mask = ObservationMask(_masks()[name])
+    m, n = mask.shape
+    omega = _layout(LAYOUT_CUTS[layout], mask, monkeypatch)
+    rng = np.random.default_rng(mask.dim)
+    d = min(6, m, n)
+    u = np.linalg.qr(rng.standard_normal((m, d)))[0]
+    target = rng.standard_normal((n, d)) * np.geomspace(4.0, 0.25, d)
+    for mu in (0.0, 1.0, 3.0):
+        v, shrunk, (w_k, z_k_t) = svt(target, mu)
+        k = shrunk.size
+        assert w_k.shape == (n, k) and z_k_t.shape == (k, d)
+        if not k:
+            continue
+        at_d, at_k = np.full((2, mask.dim), np.nan)
+        omega.low_rank(u, v, at_d)
+        omega.low_rank(u @ z_k_t.T, w_k, at_k)
+        assert _close(at_k, at_d), (mu, k)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUT_CUTS))
 @pytest.mark.parametrize("name", ["empty rows and columns",
                                   "just below the cut", "just above the cut"])
 def test_norm_2_is_the_spectral_norm_on_omega(name, layout, monkeypatch):
     mask = ObservationMask(_masks()[name])
     data = np.random.default_rng(mask.dim).standard_normal(mask.dim)
     omega = _layout(LAYOUT_CUTS[layout], mask, monkeypatch)
-    omega.load(data, 0.0)
+    omega.load(data)
     want = np.linalg.norm(mask.adjoint(data), 2)
     assert abs(omega.norm_2() - want) <= 1e-12 * want
 
@@ -594,7 +627,7 @@ def test_norm_2_of_a_vector_is_its_frobenius_norm(shape, layout, monkeypatch):
     mask = ObservationMask(marker)
     data = np.random.default_rng(4).standard_normal(mask.dim)
     omega = _layout(LAYOUT_CUTS[layout], mask, monkeypatch)
-    omega.load(data, 0.0)
+    omega.load(data)
     assert omega.norm_2() == float(np.linalg.norm(data))
     assert omega.norm_2() == pytest.approx(
         np.linalg.norm(mask.adjoint(data)), rel=1e-12)

@@ -33,12 +33,12 @@ def prox_gradient_nuclear(m, mu, step=0.5, tol=1e-9, max_iter=20000):
 
 class TestSvt:
     def test_diagonal_example(self):
-        out, _ = svt(np.diag([3.0, 1.0]), 2.0)
+        out, _, _ = svt(np.diag([3.0, 1.0]), 2.0)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_zero_threshold_is_identity(self):
         m = np.random.default_rng(0).standard_normal((6, 4))
-        out, _ = svt(m, 0.0)
+        out, _, _ = svt(m, 0.0)
         assert np.linalg.norm(out - m) <= 1e-8 * np.linalg.norm(m)
 
     def test_negative_threshold_rejected(self):
@@ -47,14 +47,14 @@ class TestSvt:
 
     def test_exact_tie_maps_to_zero(self):
         # sigma == mu must vanish, not survive as a zero-direction artifact
-        out, _ = svt(np.diag([2.0, 1.0]), 1.0)
+        out, _, _ = svt(np.diag([2.0, 1.0]), 1.0)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_matches_proximal_gradient_oracle(self):
         rng = np.random.default_rng(17)
         m = rng.standard_normal((8, 5))
         mu = 0.7
-        out, _ = svt(m, mu)
+        out, _, _ = svt(m, mu)
         f_closed = nuclear_objective(out, m, mu)
         f_oracle = nuclear_objective(prox_gradient_nuclear(m, mu), m, mu)
         assert f_closed <= f_oracle + 1e-6
@@ -64,7 +64,7 @@ class TestSvt:
         for mu in (0.5, 2.0, 10.0):
             m = rng.standard_normal((7, 5))
             sigma = np.linalg.svd(m, compute_uv=False)
-            out, _ = svt(m, mu)
+            out, _, _ = svt(m, mu)
             out_sigma = np.linalg.svd(out, compute_uv=False)
             expected = int(np.sum(sigma > mu))
             got = int(np.sum(out_sigma > RANK_CUTOFF * max(out_sigma[0], 1e-300)))
@@ -76,7 +76,7 @@ class TestSvt:
             m = rng.standard_normal(shape)
             sigma = np.linalg.svd(m, compute_uv=False)
             for mu in (0.0, 0.5, 0.5 * (sigma[1] + sigma[2])):
-                out, shrunk = svt(m, mu)
+                out, shrunk, _ = svt(m, mu)
                 assert shrunk.size == np.sum(sigma > mu)
                 # the singular values of the result, truncated to its rank
                 want = np.linalg.svd(out, compute_uv=False)[:shrunk.size]
@@ -89,7 +89,7 @@ class TestSvt:
         sigma_max = np.linalg.svd(m, compute_uv=False)[0]
         # an exact tie at the largest value, and a threshold above it
         for m, mu in ((np.diag([2.0, 1.0]), 2.0), (m, 1.5 * sigma_max)):
-            out, shrunk = svt(m, mu)
+            out, shrunk, _ = svt(m, mu)
             assert shrunk.shape == (0,)
             assert out.shape == m.shape and np.all(out == 0)
 
@@ -98,8 +98,8 @@ class TestSvt:
         for _ in range(10):
             a = rng.standard_normal((6, 4))
             b = rng.standard_normal((6, 4))
-            out_a, _ = svt(a, 0.8)
-            out_b, _ = svt(b, 0.8)
+            out_a, _, _ = svt(a, 0.8)
+            out_b, _, _ = svt(b, 0.8)
             assert (
                 np.linalg.norm(out_a - out_b)
                 <= np.linalg.norm(a - b) + 1e-12

@@ -5,7 +5,8 @@ runs writing U.txt, V.txt, S.txt and trace.csv, whose one header is
 iter,residual,objective,alpha,d,stop_ratio,rank; stop_ratio is the quantity
 the solver's stop compares with tol, blank on an iteration where it
 compares none, though mc also stops on residual over ||D on Omega||_F,
-which stop_ratio does not record; cpcp reads a p x 1 measurements file),
+which stop_ratio does not record; the summary line's stop= names the test
+that ended the run; cpcp reads a p x 1 measurements file),
 eval (metrics between an estimate directory, whose low-rank estimate is
 U V^T, and a truth directory).
 
@@ -165,7 +166,7 @@ def _summary(result):
     print(
         f"termination={result.termination} iters={result.iterations} "
         f"residual={last.residual:.6e} alpha0={first.alpha:.6e} "
-        f"rank={last.rank}"
+        f"stop={result.stop_test or 'none'} rank={last.rank}"
     )
 
 

@@ -256,6 +256,9 @@ class SolveResult:
     y: np.ndarray                    # matrix (RMC/MC) or vector (CPCP) multiplier
     trace: list[IterationRecord] = field(default_factory=list)
     termination: str = "max_iter_reached"   # "converged" | "max_iter_reached"
+    # The test that ended a converged run: "residual", "product_change" (MC)
+    # or "step_ratio" (CPCP); None when the run reached max_iter.
+    stop_test: str | None = None
 
     @property
     def iterations(self):

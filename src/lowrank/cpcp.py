@@ -94,7 +94,7 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
     zero = np.zeros(q.dim)
     ft = fs = fit = zero
     trace = []
-    termination = "max_iter_reached"
+    termination, stop_test = "max_iter_reached", None
     # read only while the callback runs, so they see this iteration's S and y
     forms = {"s": lambda it: s, "y": lambda it: dual,
              "support": lambda it: int(np.count_nonzero(s))}
@@ -141,10 +141,12 @@ def solve_cpcp(y_meas, q, cfg, iter_callback=None):
         # y = 0: L = S = 0, the first iterate, is the optimum; its ratio is None
         if y_norm == 0 or (ratio is not None and ratio < cfg.tol):
             termination = "converged"
+            stop_test = "residual" if y_norm == 0 else "step_ratio"
             break
         alpha = min(cfg.rho * alpha, cfg.alpha_max)
 
-    return SolveResult(u=u, v=v, s=s, y=dual, trace=trace, termination=termination)
+    return SolveResult(u=u, v=v, s=s, y=dual, trace=trace,
+                       termination=termination, stop_test=stop_test)
 
 
 def data_fit_gradient(point, other, y_meas, dual, alpha, q):

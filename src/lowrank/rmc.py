@@ -260,8 +260,10 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
       Z = L + (Z - L) in place of S, and S is zero;
     - ``stop(u, v, u_prev, v_prev)``: a stopping test besides the residual,
       returning the ratio it compares with ``tol`` (None where it compares
-      none) and whether the test holds. Without it, the residual over
-      ||D on Omega||_F is the ratio recorded as ``stop_ratio``.
+      none) and the test's name when it holds, else None. Without it, the
+      residual over ||D on Omega||_F is the ratio recorded as
+      ``stop_ratio``. ``SolveResult.stop_test`` names the test that ended
+      the run, the residual's ("residual") where both hold.
 
     U starts as the range finder's basis of E_0 = D on Omega, the Q of the
     thin QR of E_0 G for a seeded n x d Gaussian G, and the same load of E_0
@@ -319,7 +321,7 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
              "support": lambda it: int(np.count_nonzero(work)) if robust else 0}
     adjusted = False
     trace = []
-    termination = "max_iter_reached"
+    termination, stop_test = "max_iter_reached", None
 
     for k in range(1, cfg.max_iter + 1):
         if rank:                   # while V = 0, P V = 0 and U is kept
@@ -335,15 +337,16 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
         residual = float(np.linalg.norm(gap))
         objective = data_term + lam * float(shrunk.sum())
         if stop is None:
-            ratio, done = residual / (obs_norm or 1.0), False
+            ratio, held = residual / (obs_norm or 1.0), None
         else:
-            ratio, done = stop(u, v, u_prev, v_prev)
+            ratio, held = stop(u, v, u_prev, v_prev)
         trace.append(IterationRecord(k, residual, objective, alpha, d,
                                      stop_ratio=ratio, rank=rank))
         if iter_callback is not None:
             Iterate(trace[-1], u, v, forms).pass_to(iter_callback)
-        if residual < threshold or done:
+        if residual < threshold or held:
             termination = "converged"
+            stop_test = "residual" if residual < threshold else held
             break
         # nothing moves after the last iteration: the result is the iterate
         # last recorded, with Y = alpha C
@@ -366,7 +369,8 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
 
     s = mask.adjoint(work) if robust else np.zeros((m, n))
     return SolveResult(u=u, v=v, s=s, y=mask.adjoint(alpha * c),
-                       trace=trace, termination=termination)
+                       trace=trace, termination=termination,
+                       stop_test=stop_test)
 
 
 def _robust_step(data, low, c_prev, kappa, alpha, c, gap, work):
@@ -443,9 +447,10 @@ def solve_mc(d_obs, mask, cfg, iter_callback=None):
     def small_change(u, v, u_prev, v_prev):
         base = float(np.linalg.norm(v_prev))   # ||U_prev V_prev^T||_F
         if not base > 0:
-            return None, False
+            return None, None
         change = _product_change(u, v, u_prev, v_prev)
-        return change / base, change < cfg.tol * base
+        return change / base, ("product_change" if change < cfg.tol * base
+                               else None)
 
     return _admm(d_obs, mask, cfg, _mc_step, robust=False, stop=small_change,
                  iter_callback=iter_callback)

@@ -130,7 +130,7 @@ class TestSolveCommands:
             with open(est / "trace.csv", newline="") as fh:
                 first = next(csv.DictReader(fh))
             assert alpha0 == pytest.approx(float(first["alpha"]), rel=1e-6)
-        assert " alpha0=2.500000e-01 rank=" in summary
+        assert " alpha0=2.500000e-01 stop=residual rank=" in summary
 
     @pytest.mark.parametrize("command", ["rmc", "mc", "rpca"])
     def test_trace_records_stop_ratio(self, tmp_path, capsys, command):
@@ -170,7 +170,9 @@ class TestSolveCommands:
         code = run(command, *inputs, "--rank", "6", "--max-iter", "3",
                    "--out-dir", str(est))
         assert code == 3
-        assert "termination=max_iter_reached" in capsys.readouterr().out
+        summary = capsys.readouterr().out
+        assert "termination=max_iter_reached" in summary
+        assert " stop=none rank=" in summary
         assert (est / "U.txt").exists()
         lines = (est / "trace.csv").read_text().splitlines()
         # one header for every solver; stop_ratio is blank where not recorded

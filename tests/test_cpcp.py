@@ -29,6 +29,7 @@ class TestSolveCpcp:
         # L = S = 0 is the unique optimum, reached at iteration 1; no norm
         # is taken, and the penalty starts at 1
         assert res.termination == "converged"
+        assert res.stop_test == "residual"
         assert res.iterations == 1
         assert res.trace[0].alpha == 1.0
         assert np.all(res.low_rank() == 0)
@@ -39,6 +40,7 @@ class TestSolveCpcp:
         cfg = SolverConfig(lam=np.sqrt(30.0), d=6, tol=1e-10, max_iter=1000)
         res = solve_cpcp(y, q, cfg)
         assert res.termination == "converged"
+        assert res.stop_test == "step_ratio"
         assert relative_error(res.low_rank(), prob.l0) <= 5e-2
 
     def test_mask_operator_recovers_like_rmc(self):

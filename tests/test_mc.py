@@ -58,12 +58,26 @@ class TestSolveMc:
                 change = np.linalg.norm(products[k] - products[k - 1])
                 assert rec.stop_ratio == pytest.approx(change / base,
                                                        rel=1e-6, abs=1e-12)
-        # MC also stops on a small residual, as this run does
+        # MC also stops on a small residual, as this run does, with every
+        # stop_ratio at or above tol; stop_test tells the two apart
         last = res.trace[-1]
-        assert last.stop_ratio < cfg.tol or \
-            last.residual < cfg.tol * np.linalg.norm(l0[mask.marker])
+        assert res.stop_test == "residual"
+        assert last.residual < cfg.tol * np.linalg.norm(l0[mask.marker])
         assert all(rec.stop_ratio is None or rec.stop_ratio >= cfg.tol
                    for rec in res.trace[:-1])
+
+    def test_stop_test_names_the_product_change(self):
+        rng = np.random.default_rng(3)
+        l0 = rng.standard_normal((30, 5)) @ rng.standard_normal((24, 5)).T
+        mask = ObservationMask(rng.random((30, 24)) < 0.7)
+        cfg = SolverConfig(lam=1.0, d=7, tol=1e-4, max_iter=800)
+        res = solve_mc(l0, mask, cfg)
+        assert res.termination == "converged"
+        assert res.stop_test == "product_change"
+        assert res.trace[-1].stop_ratio < cfg.tol
+        capped = solve_mc(l0, mask, SolverConfig(lam=1.0, d=7, max_iter=5))
+        assert capped.termination == "max_iter_reached"
+        assert capped.stop_test is None
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -31,6 +31,7 @@ class TestSolveRmc:
         p = planted(seed=1)
         res = solve_rmc(p.d_obs, p.mask, SolverConfig(d=6))
         assert res.termination == "converged"
+        assert res.stop_test == "residual"
         assert relative_error(res.low_rank(), p.l0) <= 1e-2 * 3
         obs = p.mask.marker
         assert auc(np.abs(res.s[obs]), p.s0[obs] != 0) >= 0.95

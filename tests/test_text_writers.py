@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lowrank.datasets import load_matrix, save_matrix
+from lowrank.datasets import _BLOCK, load_matrix, save_matrix
 from lowrank.measurements import ObservationMask, load_mask, save_mask
 
 
@@ -76,6 +76,85 @@ class TestSaveMatrix:
         a = rng.standard_normal((40, 30))
         a[rng.random(a.shape) < zero_frac] = 0.0
         assert_same_bytes(tmp_path, save_matrix, reference_save_matrix, a)
+
+    def test_bytes_of_a_million_values(self, tmp_path):
+        # random bit patterns reach every exponent, nan payloads and
+        # subnormals; the scaled normals fill the kernel's decades
+        rng = np.random.default_rng(29)
+        column = np.concatenate([
+            rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(10 ** 5),
+            1e-9 * rng.standard_normal(10 ** 5),
+            1e12 * rng.standard_normal(10 ** 5),
+        ])
+        assert_same_bytes(tmp_path, save_matrix, reference_save_matrix,
+                          column.reshape(-1, 1))
+
+    @pytest.mark.parametrize("value, text", [
+        # ties at the 17th digit go to the even digit
+        (2251799813685247.25, "2251799813685247.2"),
+        (2251799813685247.75, "2251799813685247.8"),
+        # the float nearest 1e-14 lies below it and rounds up into the next
+        # decade; the float below 1.0 does not
+        (1e-14, "1e-14"),
+        (float(np.nextafter(1.0, 0.0)), "0.99999999999999989"),
+        (9.9999999999999998e16, "1e+17"),
+        # the fixed form holds from 1e-4 up to 1e17
+        (1e-4, "0.0001"),
+        (float(np.nextafter(1e-4, 0.0)), "9.9999999999999991e-05"),
+        (1e-5, "1.0000000000000001e-05"),
+        (1e16, "10000000000000000"),
+        (float(np.nextafter(1e16, 0.0)), "9999999999999998"),
+        (1e17, "1e+17"),
+        (-123.45, "-123.45"),
+        (2.5e-300, "2.5e-300"),
+        (-1.7976931348623157e308, "-1.7976931348623157e+308"),
+        (2.2250738585072014e-308, "2.2250738585072014e-308"),
+        (5e-324, "4.9406564584124654e-324"),
+        (-0.0, "-0"),
+        (math.nan, "nan"),
+        (-math.inf, "-inf"),
+    ])
+    def test_text_of_hard_cases(self, tmp_path, value, text):
+        path = tmp_path / "a.txt"
+        save_matrix(path, np.array([[value]]))
+        assert path.read_text() == f"1 1\n{text}\n"
+        assert_same_bytes(tmp_path, save_matrix, reference_save_matrix,
+                          np.array([[value]]))
+
+    def test_bytes_of_decade_edges(self, tmp_path):
+        # every power of ten with both float neighbours, the smallest normal,
+        # subnormals, three-digit exponents and the non-finite values
+        edges = []
+        for e in range(-12, 18):
+            ten = float(f"1e{e}")
+            edges += [np.nextafter(ten, 0.0), ten, np.nextafter(ten, np.inf)]
+        edges += [1e-100, 1e100, -3.3e-250, 7.1e299,
+                  2.2250738585072014e-308, 2.2250738585072009e-308, 5e-324,
+                  -1e-310, 0.0, -0.0, math.nan, math.inf, -math.inf]
+        a = np.array(edges)
+        assert_same_bytes(tmp_path, save_matrix, reference_save_matrix,
+                          np.stack([a, -a]))
+
+    @pytest.mark.parametrize("shape", [
+        (3 * _BLOCK // 7 + 5, 7),
+        (1, _BLOCK + 1234),
+    ], ids=["rows-across-blocks", "row-longer-than-a-block"])
+    def test_bytes_across_blocks(self, tmp_path, shape):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(shape)
+        a[rng.random(shape) < 0.3] = 0.0
+        a[rng.random(shape) < 0.01] = -0.0
+        assert_same_bytes(tmp_path, save_matrix, reference_save_matrix, a)
+
+    def test_bytes_of_factor_with_small_columns(self, tmp_path):
+        # like the V of a rank-10 fit at d = 20: half its values lie below
+        # 1e-4, down to the kernel's lowest decades
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal((500, 20))
+        v[:, 10:] *= 10.0 ** rng.uniform(-16, -5, (500, 10))
+        assert (np.abs(v) < 1e-4).mean() >= 0.5
+        assert_same_bytes(tmp_path, save_matrix, reference_save_matrix, v)
 
     @settings(max_examples=100, deadline=None)
     @given(a=matrices)

@@ -23,8 +23,15 @@ of repeats is counted in ``duplicate_count`` and warned about once.
 
 A matrix file (``save_matrix``/``load_matrix``) has a ``rows cols`` header
 and then exactly ``rows`` lines of ``cols`` values; blank lines may follow
-the last row but not precede it. Its rows go through numpy's C parser too,
-with the same per-line reference behind it for the ``path:line`` errors.
+the last row but not precede it, and each value is what Python's ``float``
+reads from its token. A body in the layout ``save_matrix`` writes is read by
+the vectorised reader of ``textscan``: its tokenizer finds the separators
+in numpy, and its kernel reads each value exactly, by SWAR digit arithmetic
+and a double-double product with 10^q, leaving to ``float`` only the tokens
+it cannot vouch for. Any other body is read line by line by the reference
+reader, which raises the ``path:line`` errors. A byte that is not UTF-8 is
+such an error too, in every reader of this module.
+
 ``save_matrix`` writes each value as ``"%.17g"`` does, byte for byte. It
 formats blocks of at most ``_BLOCK`` values in numpy, so no temporary is the
 size of the matrix. An exact zero is the literal ``0`` or ``-0``. A normal
@@ -44,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textscan
 from .measurements import ObservationMask, mask_project, read_shape
 
 
@@ -225,7 +233,8 @@ def read_rating_columns(path):
         data = fh.read()
     columns = _parse_rating_columns(data)
     if columns is None:
-        columns = _read_rating_lines(io.TextIOWrapper(io.BytesIO(data)), path)
+        text = textscan.decode(data, path)
+        columns = _read_rating_lines(io.StringIO(text, newline=None), path)
     return columns
 
 
@@ -504,27 +513,24 @@ def _read_matrix_rows(fh, path, rows, cols):
 
 
 def load_matrix(path):
-    """Read a ``save_matrix`` file. Its rows go through numpy's C parser,
-    streamed from the file; a body that parser refuses is re-read by the
-    reference reader, which raises the error naming the file and line (or
-    takes what only Python's ``float`` accepts, such as ``1_0``)."""
-    with open(path) as fh:
-        rows, cols = read_shape(fh, path)
-        if rows == 0 or cols == 0:
-            raise ValueError(f"{path}: degenerate shape {rows}x{cols}")
-        body = fh.tell()
-        with warnings.catch_warnings():
-            # loadtxt warns when it skips a blank line among the max_rows it
-            # reads; as an error, that makes the line a refusal.
-            warnings.simplefilter("error")
-            try:
-                out = np.loadtxt(fh, comments=None, max_rows=rows, ndmin=2)
-            except (ValueError, Warning):
-                out = None
-        if out is None or out.shape != (rows, cols):
-            fh.seek(body)
-            out = _read_matrix_rows(fh, path, rows, cols)
-        for lineno, line in enumerate(fh, start=rows + 2):
-            if line.strip():
-                raise ValueError(f"{path}:{lineno}: more than {rows} rows")
+    """Read a ``save_matrix`` file. A body in the layout ``save_matrix``
+    writes is read by ``textscan.read_floats``; any other is re-read from
+    its text by the reference reader, which raises the error naming the file
+    and line. Either way each value is what Python's ``float`` reads from
+    its token, so ``1_0`` is 10."""
+    header, buf, end = textscan.read_file(path)
+    shape = textscan.shape(header)
+    if shape is not None and all(shape):
+        try:
+            return textscan.read_floats(buf, end, *shape)
+        except textscan.Refused:
+            pass
+    fh = io.StringIO(textscan.text(path, header, buf, end), newline=None)
+    rows, cols = read_shape(fh, path)
+    if rows == 0 or cols == 0:
+        raise ValueError(f"{path}: degenerate shape {rows}x{cols}")
+    out = _read_matrix_rows(fh, path, rows, cols)
+    for lineno, line in enumerate(fh, start=rows + 2):
+        if line.strip():
+            raise ValueError(f"{path}:{lineno}: more than {rows} rows")
     return out

@@ -17,11 +17,13 @@ A mask file (``save_mask``/``load_mask``) has a ``rows cols`` header and one
 0-based ``i j`` pair per line in row-major order. ``save_mask`` writes each
 row's pairs as the row's ``"i "`` prefix joined with column names from a
 table of index strings, so no index is formatted per pair. ``load_mask``
-parses the pairs with ``np.loadtxt`` and re-reads a file it refuses line by
-line, for an error that names the file and line (``path:line: ...``); a
-pair out of range or repeated is named by its file line too.
+reads canonical lines with the tokenizer and SWAR digit step of
+``textscan`` and re-reads any other body line by line, for the pairs or an
+error that names the file and line (``path:line: ...``); a pair out of
+range or repeated is named by its file line too.
 """
 
+import io
 import itertools
 import re
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import textscan
 from .linalg import check_matrix, qr_thin
 
 # A drawn basis B is accepted when every entry of B B^T 1 - 1 is at most
@@ -192,10 +195,12 @@ _INT64 = np.iinfo(np.int64)
 
 
 def _check_mask_lines(lines, path, lineno):
-    """The reference check of a mask body whose first line is file line
+    """The reference reader of a mask body whose first line is file line
     ``lineno``: blank lines are skipped and every other line must hold two
     indices, split on whitespace and read by the grammar of ``_INDEX``. The
-    first line that does not raises ``path:line: ...``."""
+    first line that does not raises ``path:line: ...``; else the pairs are
+    returned as an (n, 2) int64 array."""
+    pairs = []
     for lineno, line in enumerate(lines, start=lineno):
         fields = line.split()
         if not fields:
@@ -208,43 +213,37 @@ def _check_mask_lines(lines, path, lineno):
                     and _INT64.min <= int(field) <= _INT64.max):
                 raise ValueError(
                     f"{path}:{lineno}: {field!r} is not an int64 index")
+        pairs.append((int(fields[0]), int(fields[1])))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def load_mask(path):
-    """Read a ``save_mask`` file. Its pairs go through ``np.loadtxt``; a body
-    that it refuses, or whose lines do not hold two fields, is re-read by
-    the reference check, which raises the error naming the file and line.
-    The reference accepts the files ``np.loadtxt`` does, so should it find
-    no bad line, the ``np.loadtxt`` refusal stands. A pair out of range or
+    """Read a ``save_mask`` file. A body of canonical ``i j`` lines, each
+    index one to eight ASCII digits, is read by ``textscan.read_indices``;
+    any other is re-read from its text by the reference reader, which
+    raises the error naming the file and line. A pair out of range or
     repeated is named by its file line as well."""
-    with open(path) as fh:
-        rows, cols = read_shape(fh, path)
-        # Skip the blank lines before the first pair: loadtxt warns on input
-        # without data, and a header-only file is an empty mask.
-        start, lineno = fh.tell(), 2
-        while (line := fh.readline()) and not line.strip():
-            start, lineno = fh.tell(), lineno + 1
-        pairs = np.empty((0, 2), dtype=np.int64)
-        if line:
-            fh.seek(start)
-            try:
-                pairs = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
-                if pairs.shape[1] != 2:
-                    raise ValueError("expected 'i j' per line, got "
-                                     f"{pairs.shape[1]} fields")
-            except ValueError as exc:
-                fh.seek(start)
-                _check_mask_lines(fh, path, lineno)
-                raise ValueError(f"{path}: {exc}") from exc
+    header, buf, end = textscan.read_file(path)
+    shape = textscan.shape(header)
+    pairs = None
+    if shape is not None:
+        try:
+            pairs = textscan.read_indices(buf, end).reshape(-1, 2)
+        except textscan.Refused:
+            pass
+    if pairs is None:
+        fh = io.StringIO(textscan.text(path, header, buf, end), newline=None)
+        shape = read_shape(fh, path)
+        pairs = _check_mask_lines(fh, path, 2)
     try:
-        return ObservationMask.from_indices(rows, cols, pairs)
+        return ObservationMask.from_indices(*shape, pairs)
     except _PairError as exc:
         raise ValueError(f"{path}:{_pair_line(path, exc.at)}: {exc}") from exc
 
 
 def _pair_line(path, at):
-    """The file line of pair ``at`` of a mask file whose body np.loadtxt
-    read: the pairs are the nonblank lines after the header."""
+    """The file line of pair ``at`` of a mask file: the pairs are the
+    nonblank lines after the header."""
     with open(path) as fh:
         next(fh)
         pairs = (lineno for lineno, line in enumerate(fh, start=2)

@@ -1,23 +1,28 @@
-"""Ratings and matrix ingestion: the columnar readers against the per-line
-grammar they replace.
+"""Ratings, matrix and mask ingestion: the columnar and vectorised readers
+against the per-line grammar they replace.
 
 ``reference_load_ratings`` is the line-at-a-time reader, written out here so
 that ``load_ratings`` is checked against an oracle that shares no code with
 it: ids, split, mask, values, duplicate count, warning text and error
-messages must all agree.
+messages must all agree. ``float_load_matrix`` reads a matrix file one
+Python ``float`` a token, and ``loadtxt_load_mask`` is the ``np.loadtxt``
+mask reader that ``load_mask`` replaced; ``load_matrix`` and ``load_mask``
+must match them bit for bit, or raise the same message.
 """
 
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lowrank import datasets
+from lowrank import datasets, measurements
 from lowrank.cli import main
 from lowrank.datasets import load_matrix, load_ratings, save_matrix
+from lowrank.measurements import ObservationMask, load_mask, save_mask
 
 
 def reference_load_ratings(path, seed):
@@ -306,3 +311,315 @@ class TestLoadMatrixEdges:
         back = load_matrix(path)
         assert back.shape == np.shape(expected)
         assert np.array_equal(back, expected)
+
+
+def float_load_matrix(path):
+    """The matrix grammar, one Python ``float`` a token."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        try:
+            rows, cols = map(int, header)
+        except ValueError:
+            raise ValueError(f"{path}: bad header {' '.join(header)!r}, "
+                             "expected 'rows cols'") from None
+        if rows < 0 or cols < 0:
+            raise ValueError(f"{path}: negative shape {rows}x{cols}")
+        if rows == 0 or cols == 0:
+            raise ValueError(f"{path}: degenerate shape {rows}x{cols}")
+        out = []
+        for lineno in range(2, rows + 2):
+            tokens = fh.readline().split()
+            if len(tokens) != cols:
+                raise ValueError(f"{path}:{lineno}: expected {cols} values, "
+                                 f"got {len(tokens)}")
+            try:
+                out.append([float(token) for token in tokens])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        for lineno, line in enumerate(fh, start=rows + 2):
+            if line.strip():
+                raise ValueError(f"{path}:{lineno}: more than {rows} rows")
+    return np.array(out)
+
+
+def loadtxt_load_mask(path):
+    """``load_mask`` as it was when ``np.loadtxt`` parsed the pairs."""
+    with open(path) as fh:
+        rows, cols = measurements.read_shape(fh, path)
+        start, lineno = fh.tell(), 2
+        while (line := fh.readline()) and not line.strip():
+            start, lineno = fh.tell(), lineno + 1
+        pairs = np.empty((0, 2), dtype=np.int64)
+        if line:
+            fh.seek(start)
+            try:
+                pairs = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+                if pairs.shape[1] != 2:
+                    raise ValueError("expected 'i j' per line, got "
+                                     f"{pairs.shape[1]} fields")
+            except ValueError as exc:
+                fh.seek(start)
+                measurements._check_mask_lines(fh, path, lineno)
+                raise ValueError(f"{path}: {exc}") from exc
+    try:
+        return ObservationMask.from_indices(rows, cols, pairs)
+    except measurements._PairError as exc:
+        line = measurements._pair_line(path, exc.at)
+        raise ValueError(f"{path}:{line}: {exc}") from exc
+
+
+def read_outcome(load, path):
+    try:
+        return ("ok", load(path))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def assert_reads_as_float(path):
+    expected = read_outcome(float_load_matrix, path)
+    got = read_outcome(load_matrix, path)
+    assert got[0] == expected[0], (got, expected)
+    if got[0] == "error":
+        assert got[1] == expected[1]
+    else:
+        assert got[1].shape == expected[1].shape
+        assert got[1].tobytes() == expected[1].tobytes()
+
+
+# Values at the edges of save_matrix's kernel and of the reader's: zeros,
+# subnormals, the smallest normal, non-finite values, both sides of 1e-15
+# and 1e16, a point past the first 16 bytes, and 2^53 with its neighbours.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               math.nan, math.inf, -math.inf, 1e-15, 1e16,
+               float(np.nextafter(1e-15, 0)), float(np.nextafter(1e16, 0)),
+               float(np.nextafter(1e16, math.inf)), 1234567890123456.8,
+               2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1e300, -1e-300]
+matrix_values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(),
+                          st.floats(-10, 10), st.floats(-1e-5, 1e-5))
+
+
+@st.composite
+def written_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = draw(st.lists(matrix_values, min_size=rows * cols,
+                           max_size=rows * cols))
+    return np.array(values).reshape(rows, cols)
+
+
+@st.composite
+def decimal_tokens(draw):
+    """A decimal token: sign, 1 to 25 digits with leading zeros, a point
+    anywhere, and an exponent of any width; or an odd form."""
+    odd = draw(st.sampled_from([
+        ".5", "5.", "+.5", "1_0", "Infinity", "-inf", "nan", "-nan", "1e",
+        "e5", ".", "-", "--1", "+-1", "1.2.3", "1e5e5", "1e+-5", "0x10",
+        "9007199254740993", "9007199254740991", "18014398509481986"]))
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    if draw(st.integers(0, 3)) == 0:
+        digits = "0" * draw(st.integers(1, 6)) + digits
+    cut = draw(st.integers(0, len(digits)))
+    point = draw(st.sampled_from(["", "."]))
+    exponent = draw(st.sampled_from([
+        "", "e{:+d}", "E{:d}", "e{:+03d}", "e-{:03d}", "e{:04d}"]))
+    token = (draw(st.sampled_from(["", "-", "+"])) + digits[:cut] + point
+             + digits[cut:] + exponent.format(draw(st.integers(0, 400))))
+    return odd if draw(st.integers(0, 5)) == 0 else token
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix files in the canonical layout, and in others: tabs, runs of
+    spaces, leading blanks, CRLF, no final newline, blank lines at the end
+    or inside, a missing or surplus token or row."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    canonical = draw(st.booleans())
+    token = draw(st.sampled_from([
+        decimal_tokens(), matrix_values.map(lambda v: "%.17g" % v)]))
+    lines = []
+    for _ in range(rows):
+        tokens = [draw(token) for _ in range(cols)]
+        if canonical:
+            lines.append(" ".join(tokens))
+            continue
+        if draw(st.integers(0, 5)) == 0:
+            tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["1"]
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(tokens))
+    if not canonical and draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, rows)),
+                     draw(st.sampled_from(["", "  ", "1 2"])))
+    end = "\n" if canonical else draw(st.sampled_from(["\n", "\r\n"]))
+    tail = draw(st.sampled_from([end, "", end * 2, end + " \t" + end]))
+    return f"{rows} {cols}{end}" + end.join(lines) + tail
+
+
+class TestMatrixReadsAsFloat:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(a=written_matrices())
+    def test_written_values(self, tmp_path, a):
+        path = tmp_path / "m.txt"
+        save_matrix(path, a)
+        assert_reads_as_float(path)
+        back = load_matrix(path)
+        # bit for bit, nan aside: "nan" reads as Python's nan
+        nan = np.isnan(a)
+        assert np.array_equal(np.isnan(back), nan)
+        assert back[~nan].tobytes() == a[~nan].tobytes()
+
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=matrix_texts())
+    @example(text="1 3\n9007199254740993 18014398509481986 1_0\n")
+    @example(text="2 2\r\n1 2\r\n3 4")
+    @example(text="2 1\n1\n\n2\n")
+    @example(text="1 2\n0 -0\n\n \t\n")
+    @example(text="1 1\n" + "1" * 70 + "\n")
+    def test_texts(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_bytes(text.encode())
+        assert_reads_as_float(path)
+
+
+def near_ties():
+    """Tokens of 17 to 25 digits just above, at and below the midpoint
+    between two neighbouring doubles, and exact ties: integers, and
+    fractions whose 10^-q is inexact, which round to even only if the
+    kernel leaves them to float."""
+    tokens = ["9007199254740993", "18014398509481986", "18014398509481985",
+              "9007199254740993.0", "4503599627370496.5", "1e23",
+              "9007199254740991.5", "4.50359962737049575e15",
+              "2.251799813685247875e15",
+              # ties that the kernel, without its midpoint test, rounds to odd
+              "4.39784341186238025e15", "-4.44592060855164425e15",
+              "4.42989304741999625e15", "4.40378320610010825e15",
+              "-4.36815679275620425e15"]
+    rng = np.random.default_rng(5)
+    for bits, fractions in [(52, [".5"]), (51, [".25", ".75"]),
+                            (50, [".125", ".375", ".625", ".875"])]:
+        for k in rng.integers(2 ** bits, 2 ** (bits + 1), 24).tolist():
+            tie = f"{k}{fractions[k % len(fractions)]}"
+            digits = tie.replace(".", "")
+            tokens += [tie, f"{digits[0]}.{digits[1:]}e{len(str(k)) - 1}"]
+    for x in [1.0, 0.1, 123.456, 1e-5, 2.0 ** 60, 6.02214076e23, 1e-250]:
+        mid = (Decimal(x) + Decimal(float(np.nextafter(x, math.inf)))) / 2
+        for digits in (17, 18, 19, 25):
+            tokens += [f"{mid:.{digits - 1}e}", f"{-mid:.{digits - 1}e}"]
+        tokens.append(f"{mid:f}")
+    return tokens
+
+
+def test_near_ties_read_as_float(tmp_path):
+    tokens = near_ties()
+    path = tmp_path / "m.txt"
+    path.write_text(f"1 {len(tokens)}\n" + " ".join(tokens) + "\n")
+    assert load_matrix(path).tobytes() == \
+        np.array([[float(t) for t in tokens]]).tobytes()
+
+
+class TestCanonicalFilesTakeTheKernel:
+    """Written files never reach a reference reader."""
+
+    def test_matrix(self, tmp_path, monkeypatch):
+        a = np.random.default_rng(3).standard_normal((40, 30)) * 1e-3
+        a[a < 0] = 0.0
+        a[0, :3] = [-0.0, 1e-7, 12345.678]
+        save_matrix(tmp_path / "m.txt", a)
+        monkeypatch.setattr(datasets, "_read_matrix_rows", None)
+        assert load_matrix(tmp_path / "m.txt").tobytes() == a.tobytes()
+
+    def test_mask(self, tmp_path, monkeypatch):
+        marker = np.random.default_rng(4).random((30, 40)) < 0.5
+        save_mask(tmp_path / "mask.txt", ObservationMask(marker))
+        monkeypatch.setattr(measurements, "_check_mask_lines", None)
+        assert np.array_equal(load_mask(tmp_path / "mask.txt").marker, marker)
+
+
+@st.composite
+def mask_texts(draw):
+    """Mask files as save_mask writes them and in other layouts: signs,
+    leading zeros, long or odd indices, tabs, CRLF, blank lines, three
+    fields, pairs out of range or repeated."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    index = st.one_of(st.integers(0, 6).map(str), st.sampled_from(
+        ["+1", "-0", "007", "99999999999999999999", "123456789", "1_0",
+         "1.0", "x", "١"]))
+    canonical = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if canonical:
+            i, j = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+            lines.append(f"{i} {j}")
+            continue
+        count = draw(st.sampled_from([2, 2, 1, 3]))
+        fields = [draw(index) for _ in range(count)]
+        lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " "])))
+    end = "\n" if canonical else draw(st.sampled_from(["\n", "\r\n"]))
+    tail = draw(st.sampled_from([end, "", end * 2]))
+    return f"{rows} {cols}{end}" + end.join(lines) + (tail if lines else "")
+
+
+def mask_outcome(load, path):
+    result = read_outcome(load, path)
+    if result[0] == "ok":
+        return ("ok", result[1].shape, result[1].flat_indices.tolist())
+    return result
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mask_texts())
+@example(text="2 3\n0 1\n1 2\n")
+@example(text="2 3\n0 1\n1 2")
+@example(text="2 3\n0 1\n0 1\n")
+@example(text="2 3\n0 9\n")
+@example(text="2 3\n\n0 1\n")
+@example(text="3 3\n0 1 2\n")
+@example(text="2 3\n0 1\n1 ")
+def test_load_mask_matches_loadtxt_reader(tmp_path, text):
+    path = tmp_path / "mask.txt"
+    path.write_bytes(text.encode())
+    assert mask_outcome(load_mask, path) == \
+        mask_outcome(loadtxt_load_mask, path)
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is named by file and line."""
+
+    @pytest.mark.parametrize("data, line", [
+        (b"2 2\n1 2\n3 \xff\n", 3),
+        (b"2 \xff\n1 2\n3 4\n", 1),
+        (b"1 2\n1 2\n\n\xfe\n", 4),
+    ])
+    def test_load_matrix(self, tmp_path, data, line):
+        path = tmp_path / "m.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            load_matrix(path)
+        assert str(info.value).startswith(f"{path}:{line}: byte 0x")
+
+    def test_load_mask(self, tmp_path):
+        path = tmp_path / "mask.txt"
+        path.write_bytes(b"2 3\n0 1\n\xc3 2\n")
+        with pytest.raises(ValueError) as info:
+            load_mask(path)
+        assert str(info.value).startswith(f"{path}:3: byte 0xc3 is not UTF-8")
+
+    def test_load_ratings(self, tmp_path):
+        path = tmp_path / "r.dat"
+        path.write_bytes(b"1 1 2.0\n2 1 3.0\n\n2 \xff 4.0\n")
+        with pytest.raises(ValueError) as info:
+            load_ratings(path)
+        assert str(info.value).startswith(f"{path}:4: byte 0xff is not UTF-8")
+
+    def test_cli_rmc(self, tmp_path, capsys):
+        data, mask = tmp_path / "d_obs.txt", tmp_path / "mask.txt"
+        data.write_bytes(b"2 2\n1 \xff\n3 4\n")
+        save_mask(mask, ObservationMask.full(2, 2))
+        code = main(["rmc", "--data", str(data), "--mask", str(mask),
+                     "--rank", "1", "--out-dir", str(tmp_path / "est")])
+        assert code == 1
+        assert f"error: {data}:2: byte 0xff is not UTF-8" in \
+            capsys.readouterr().err

@@ -85,8 +85,23 @@ def test_rpca_multiplier_is_sign_of_sparse_part():
 @pytest.mark.parametrize("solve", [solve_rmc, solve_mc])
 @pytest.mark.parametrize("obs_frac", [DENSE_OBS, CSR_OBS])
 def test_iteration_allocates_no_omega_vector(monkeypatch, solve, obs_frac):
+    check_allocations(monkeypatch, solve, obs_frac)
+
+
+@pytest.mark.parametrize("solve", [solve_rmc, solve_mc])
+@pytest.mark.parametrize("obs_frac", [DENSE_OBS, CSR_OBS])
+def test_iteration_in_spans_allocates_no_omega_vector(monkeypatch, solve,
+                                                      obs_frac):
+    # the step runs in several spans on both instances
+    monkeypatch.setattr(rmc, "STEP_ENTRIES", 2**12)
+    assert check_allocations(monkeypatch, solve, obs_frac) > 2**12
+
+
+def check_allocations(monkeypatch, solve, obs_frac):
     # svt is called once per iteration; between two calls the traced memory
     # must not rise above its level at the first by a vector over Omega.
+    # At 300^2 the dense-buffer instance runs the step in several spans of
+    # the default STEP_ENTRIES, the CSR one in one span.
     p = planted(obs_frac, shape=(300, 300))
     levels = []
     svt = rmc.svt
@@ -107,6 +122,7 @@ def test_iteration_allocates_no_omega_vector(monkeypatch, solve, obs_frac):
     omega_bytes = 8 * p.mask.dim
     for (current, _), (_, peak) in zip(levels, levels[1:]):
         assert peak - current < omega_bytes, (peak - current) / omega_bytes
+    return p.mask.dim
 
 
 @pytest.mark.parametrize("solver", ["rmc", "mc", "cpcp"])

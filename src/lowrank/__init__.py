@@ -2,14 +2,7 @@
 
 from .config import Iterate, IterationRecord, SolveResult, SolverConfig
 from .cpcp import solve_cpcp
-from .datasets import (
-    PlantedProblem,
-    RatingDataset,
-    generate_planted,
-    load_matrix,
-    load_ratings,
-    save_matrix,
-)
+from .datasets import PlantedProblem, RatingDataset, generate_planted, load_ratings
 from .linalg import (
     PowerIterationError,
     QrFactors,
@@ -24,11 +17,11 @@ from .measurements import (
     draw_random_subspace,
     load_mask,
     mask_project,
-    save_mask,
 )
 from .metrics import auc, relative_error, rmse
 from .prox import soft_threshold, svt
 from .rmc import adjust_rank_once, solve_mc, solve_rmc, solve_rpca
+from .textio import load_matrix, save_mask, save_matrix
 
 __all__ = [
     "Iterate",

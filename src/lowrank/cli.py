@@ -25,15 +25,11 @@ import numpy as np
 
 from .config import SolverConfig, write_trace_csv
 from .cpcp import check_cpcp_problem, solve_cpcp
-from .datasets import (
-    generate_planted,
-    load_matrix,
-    read_rating_columns,
-    save_matrix,
-)
-from .measurements import draw_random_subspace, load_mask, save_mask
+from .datasets import generate_planted, read_rating_columns
+from .measurements import draw_random_subspace, load_mask
 from .metrics import auc, relative_error, rmse
 from .rmc import solve_mc, solve_rmc, solve_rpca
+from .textio import load_matrix, save_mask, save_matrix
 
 
 def _auto_or_float(text):

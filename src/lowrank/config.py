@@ -168,19 +168,20 @@ class SolverConfig:
         "auto" is 1 for zero data (``data_norm``, the data's Frobenius norm,
         is 0). Otherwise, given ``data_norm_2``, a function that returns the
         data's 2-norm and is called only when needed, it is SPECTRAL_START *
-        ``lam`` / that norm, at most alpha_max, where that is positive and
-        finite; failing that, 1 / ``data_norm``. RMC, RPCA and CPCP pass
-        ``data_norm_2``, of D on Omega and of A^T y for CPCP's measurements
-        y, so their "auto" is spectral; MC passes none."""
+        ``lam`` / that norm where that is positive and finite; failing that,
+        1 / ``data_norm``. Every "auto" start is at most alpha_max, so the
+        penalty never falls. RMC, RPCA and CPCP pass ``data_norm_2``, of D
+        on Omega and of A^T y for CPCP's measurements y, so their "auto" is
+        spectral; MC passes none."""
         if self.alpha0 != "auto":
             return float(self.alpha0)
         if not data_norm > 0:
-            return 1.0
+            return min(1.0, self.alpha_max)
         if data_norm_2 is not None:
             spectral = SPECTRAL_START * lam / data_norm_2()
             if 0 < spectral < math.inf:
                 return min(spectral, self.alpha_max)
-        return 1.0 / data_norm
+        return min(1.0 / data_norm, self.alpha_max)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Problem generation, ratings ingestion, and matrix text I/O.
+"""Problem generation and ratings ingestion.
 
 Ingestion contract. A ratings file (``load_ratings``, and the test file of
 ``lowrank eval --metric rmse``) holds one rating per line: ``user item
@@ -7,7 +7,8 @@ Blank lines are skipped. A line containing ``::`` is split on ``::``, else
 one containing ``,`` on ``,``, else on whitespace. Ids are Python ``int``
 literals and ratings Python ``float`` literals; a rating that is not finite
 (``nan``, ``inf``, ``1e400``) is rejected. Every error names the file and
-line (``path:line: ...``), and a file without ratings is rejected.
+line (``path:line: ...``), a byte that is not UTF-8 included, and a file
+without ratings is rejected.
 
 The grammar is applied per line, but read per file: the separator is sniffed
 once from the whole file and numpy's C parser reads the columns. When that
@@ -21,25 +22,8 @@ Either way the result is the same.
 (user, item) pair given more than once keeps its last value, and the number
 of repeats is counted in ``duplicate_count`` and warned about once.
 
-A matrix file (``save_matrix``/``load_matrix``) has a ``rows cols`` header
-and then exactly ``rows`` lines of ``cols`` values; blank lines may follow
-the last row but not precede it, and each value is what Python's ``float``
-reads from its token. A body in the layout ``save_matrix`` writes is read by
-the vectorised reader of ``textscan``: its tokenizer finds the separators
-in numpy, and its kernel reads each value exactly, by SWAR digit arithmetic
-and a double-double product with 10^q, leaving to ``float`` only the tokens
-it cannot vouch for. Any other body is read line by line by the reference
-reader, which raises the ``path:line`` errors. A byte that is not UTF-8 is
-such an error too, in every reader of this module.
-
-``save_matrix`` writes each value as ``"%.17g"`` does, byte for byte. It
-formats blocks of at most ``_BLOCK`` values in numpy, so no temporary is the
-size of the matrix. An exact zero is the literal ``0`` or ``-0``. A normal
-number with 1e-15 <= |x| < 1e16 is rounded half to even to 17 significant
-digits by exact integer arithmetic (one 128-bit product per value, after
-Ryu: Adams, PLDI 2018), and its digits come from a table of 4-digit
-strings. nan, +-inf, subnormals and the values outside that range are
-formatted by ``"%.17g"`` itself.
+Matrix files (``save_matrix``/``load_matrix``, re-exported here) are
+``textio``'s: its docstring states their format.
 """
 
 import functools
@@ -51,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textscan
-from .measurements import ObservationMask, mask_project, read_shape
+from . import textio
+from .measurements import ObservationMask, mask_project
+from .textio import load_matrix, save_matrix  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -233,7 +218,7 @@ def read_rating_columns(path):
         data = fh.read()
     columns = _parse_rating_columns(data)
     if columns is None:
-        text = textscan.decode(data, path)
+        text = textio.decode(data, path)
         columns = _read_rating_lines(io.StringIO(text, newline=None), path)
     return columns
 
@@ -267,270 +252,3 @@ def load_ratings(path, seed=0):
     train_idx, test_idx = split_ratings(columns, seed)
     return RatingDataset(columns, len(users), len(items), train_idx, test_idx,
                          duplicate_count=duplicates)
-
-
-# save_matrix's kernel. For x = m 2^e (m the 53-bit significand) and
-# k = floor(log10 |x|), N = |x| 10^q = m 5^q 2^(e + q) with q = 16 - k lies in
-# [1e16, 1e17); "%.17g" writes N rounded half to even to an integer, with
-# the point and exponent that k gives. The kernel forms N exactly from the
-# 128-bit product m 5^q. It covers the normal numbers with 1e-15 <= |x| < 1e16;
-# nan, +-inf, subnormals and the rest of the range go through "%.17g".
-_BLOCK = 1 << 15                 # values per pass, so no temporary is m x n
-_KMIN, _KMAX = -15, 15           # the decades k of the kernel
-_U64 = np.uint64
-_LOW32 = _U64(0xFFFFFFFF)
-_HALF = _U64(1 << 63)            # one half, as a 64-bit binary fraction
-_E16, _E17 = _U64(10 ** 16), _U64(10 ** 17)
-# 5^q = _POW5_HEAD[q] * _POW5_TAIL[q] for q <= 16 - _KMIN, with the head
-# small enough that m times it stays below 2^63 and the tail below 2^63.
-_POW5_HEAD = np.array([5 ** max(q - 27, 0) for q in range(17 - _KMIN)],
-                      dtype=np.uint64)
-_POW5_TAIL = np.array([5 ** min(q, 27) for q in range(17 - _KMIN)],
-                      dtype=np.uint64)
-# the ASCII of 0000..9999, one uint32 word each, and their trailing zeros
-_DIGITS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)),
-                         dtype=np.uint32)
-_ZEROS4 = np.array([4] + [len(s) - len(s.rstrip("0")) for s in
-                          ("%04d" % i for i in range(1, 10000))], dtype=np.int8)
-
-# Every token is laid out in a slot of _SLOT bytes, and the bytes outside it
-# are NUL. Columns: 0 sign, 1-2 "0.", 3-5 "000", 6 sign, 7 digit 1, 8-22
-# digits 2-16, 23 ".", 24-39 digits 2-17, 40-43 "e-XY", 44 separator, 45-47
-# unused. Digits 2-17 are laid out twice, so that the point can follow any
-# digit: "123.45" is columns 7-9, 23 and 26-27, and "-0.0625" is columns
-# 0-2, 5 and 7-9.
-_SLOT = 48
-_SEP = 44
-# A token's code is (k - _KMIN, digits - 1, sign) for the kernel; k reaches
-# _KMAX + 1 when rounding carries into the next decade. The last code is the
-# separator alone, for "%.17g" to fill.
-_FALLBACK = (_KMAX + 2 - _KMIN) * 17 * 2
-# Word 5 of a slot, its columns 20-23, is ANDed with digits 14-17 of a
-# value; this mask keeps column 23, the point, as the template has it.
-_KEEP_POINT = np.frombuffer(b"\0\0\0\xff", dtype=np.uint32)[0]
-
-
-def _slot_templates():
-    """The slot of every code as one void item of _SLOT bytes, and the
-    length of its token with the separator. Each column that holds a digit
-    of the value is 0xFF, for the value's digits to be ANDed in."""
-    plain = np.r_[7:23, 39]      # digits 1-17 of a token without a point
-    table = np.zeros((_FALLBACK + 1, _SLOT), dtype=np.uint8)
-    for k in range(_KMIN, _KMAX + 2):
-        full = np.frombuffer(b"-0.000-" + b"\xff" * 16 + b"." + b"\xff" * 16
-                             + b"e%+03d" % k + b" " * 4, dtype=np.uint8)
-        for digits in range(1, 18):
-            kept = np.zeros(_SLOT, dtype=bool)
-            kept[_SEP] = True
-            if -4 <= k < 0:        # 0.000ddd
-                kept[1:3] = kept[6 + k + 1:6] = True
-                kept[plain[:digits]] = True
-                sign = 0
-            elif k >= 0:           # ddd.ddd
-                kept[plain[:k + 1]] = True
-                if digits > k + 1:
-                    kept[23] = kept[24 + k:23 + digits] = True
-                sign = 6
-            else:                  # d.ddde-XY
-                kept[7] = kept[40:44] = True
-                if digits > 1:
-                    kept[23] = kept[24:23 + digits] = True
-                sign = 6
-            code = ((k - _KMIN) * 17 + digits - 1) * 2
-            table[code] = table[code + 1] = np.where(kept, full, 0)
-            table[code + 1, sign] = ord("-")
-    table[_FALLBACK, _SEP] = ord(" ")
-    return table.view(f"V{_SLOT}").ravel(), np.count_nonzero(table, axis=1)
-
-
-_TEMPLATES, _LENGTHS = _slot_templates()
-
-
-def _scaled(m, e, k):
-    """N = floor(m 2^e 10^(16 - k)) and the fraction it drops, which is
-    compared with one half: its leading 64 bits, and whether any bit below
-    them is set. Exact where the kernel applies."""
-    q = 16 - k
-    a = m * _POW5_HEAD.take(q)                     # < 2^63
-    b = _POW5_TAIL.take(q)                         # < 2^63
-    # hi 2^64 + lo = a b, from four products of 32-bit limbs
-    al, ah, bl, bh = a & _LOW32, a >> _U64(32), b & _LOW32, b >> _U64(32)
-    low = al * bl
-    mid = ah * bl + (low >> _U64(32))
-    mid2 = al * bh + (mid & _LOW32)
-    hi = ah * bh + (mid >> _U64(32)) + (mid2 >> _U64(32))
-    lo = (mid2 << _U64(32)) | (low & _LOW32)
-    # N = (hi 2^64 + lo) 2^-s with s in [-2, 72] where the kernel applies.
-    # Shifts by 64 - r are taken as 63 - r and 1, so that none reaches 64.
-    s = -(e + q)
-    # Past 63, the low bits go first and are kept only as a sticky bit.
-    over = np.clip(s - 63, 0, 63).astype(np.uint64)
-    sticky = ((lo << (_U64(63) - over)) << _U64(1)) != 0
-    lo = (((hi << (_U64(63) - over)) << _U64(1))) | (lo >> over)
-    hi >>= over
-    right = np.clip(s, 0, 63).astype(np.uint64)
-    left = np.clip(-s, 0, 63).astype(np.uint64)
-    n = (((hi << (_U64(63) - right)) << _U64(1)) | (lo >> right)) << left
-    frac = (lo << (_U64(63) - right)) << _U64(1)
-    return n, frac, sticky
-
-
-def _decimal(x):
-    """(N, k, ok): |x| rounded half to even to 17 significant digits, as the
-    integer N in [1e16, 1e17) and the decade k of its leading digit, for the
-    values where ``ok``; the rest are left to "%.17g"."""
-    bits = x.view(np.uint64)
-    biased = (bits >> _U64(52)).astype(np.int64) & 0x7FF
-    ok = (biased != 0) & (biased != 0x7FF)         # normal numbers
-    m = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
-    e = biased - 1075
-    log = np.zeros(x.size)
-    np.log10(np.abs(x), out=log, where=ok)
-    k = np.floor(log).astype(np.int64)
-    ok &= (k >= _KMIN) & (k <= _KMAX)
-    np.clip(k, _KMIN, _KMAX, out=k)
-    n, frac, sticky = _scaled(m, e, k)
-    # log10 can miss the decade by one either way near a power of ten
-    step = ok * ((n >= _E17).astype(np.int64) - (n < _E16))
-    redo = np.flatnonzero(step)
-    if redo.size:
-        k[redo] += step[redo]
-        ok[redo] = (k[redo] >= _KMIN) & (k[redo] <= _KMAX)
-        redo = redo[ok[redo]]
-        n[redo], frac[redo], sticky[redo] = _scaled(m[redo], e[redo], k[redo])
-    ok &= (n >= _E16) & (n < _E17)
-    n += (frac > _HALF) | ((frac == _HALF) & (sticky | ((n & _U64(1)) == 1)))
-    carry = n == _E17                              # 99..9.5 became 10^17
-    n[carry] = _E16
-    k += carry
-    return n, k, ok
-
-
-def _digits(n):
-    """The first digit of each N in [1e16, 1e17) as ASCII, digits 2-17 as
-    four uint32 words of ASCII, and the count of digits up to the last
-    nonzero one."""
-    head = (n // _U64(10 ** 8)).astype(np.uint32)  # digits 1-9
-    tail = (n - head * _U64(10 ** 8)).astype(np.uint32)
-    first = head // 10 ** 8
-    head -= first * 10 ** 8
-    groups = np.empty((4, n.size), dtype=np.uint32)
-    np.floor_divide(head, 10000, out=groups[0])
-    np.floor_divide(tail, 10000, out=groups[2])
-    groups[1] = head - groups[0] * 10000
-    groups[3] = tail - groups[2] * 10000
-    zeros = _ZEROS4.take(groups[0])                # trailing zeros of N
-    for g in groups[1:]:
-        zeros = _ZEROS4.take(g) + (g == 0) * zeros
-    return ((first + ord("0")).astype(np.uint8), _DIGITS4.take(groups.T),
-            17 - zeros)
-
-
-def _format_block(x, start, cols):
-    """The text of the values ``x``, flat indices ``start`` on of a matrix
-    with ``cols`` columns, each value followed by its separator."""
-    nonzero = np.flatnonzero(x)                    # nan included
-    y = x[nonzero]
-    n, k, ok = _decimal(y)
-    first, words, digits = _digits(n)
-    code = np.where(ok, ((k - _KMIN) * 17 + digits - 1) * 2 + (y < 0),
-                    _FALLBACK)
-    slots = _TEMPLATES.take(code)
-    cells = slots.view(np.uint8).reshape(-1, _SLOT)
-    cells[:, 7] &= first
-    cells.view(np.uint32)[:, 6:10] &= words        # columns 24-39
-    words[:, 3] |= _KEEP_POINT                     # then columns 8-23
-    cells.view(np.uint32)[:, 2:6] &= words
-    lengths = np.full(x.size, 2)                   # "0" and its separator
-    lengths[nonzero] = _LENGTHS.take(code)
-    slow = np.flatnonzero(~ok)
-    if slow.size:
-        text = np.array([b"%.17g" % v for v in y[slow].tolist()], dtype="S24")
-        cells[slow, 7:31] = text.view(np.uint8).reshape(-1, 24)
-        lengths[nonzero[slow]] = np.char.str_len(text) + 1
-    negative_zero = np.flatnonzero(x.view(np.uint64) == _U64(1 << 63))
-    lengths[negative_zero] = 3
-    ends = np.cumsum(lengths)                      # past each separator
-    text = cells[cells != 0]                       # the nonzero values
-    # The zeros' tokens go between the others; without zeros the nonzero
-    # values' tokens are the whole text.
-    zero_ends = ends[x == 0]
-    if zero_ends.size:
-        out = np.full(ends[-1], ord("0"), dtype=np.uint8)
-        kept = np.ones(out.size, dtype=bool)
-        kept[zero_ends - 2] = kept[zero_ends - 1] = False
-        kept[ends[negative_zero] - 3] = False
-        out[kept] = text
-        out[zero_ends - 1] = ord(" ")
-        out[ends[negative_zero] - 3] = ord("-")
-        text = out
-    text[ends[(cols - 1 - start) % cols::cols] - 1] = ord("\n")
-    return text.tobytes()
-
-
-def save_matrix(path, a):
-    """Text format: "rows cols" header then one row per line, each value as
-    "%.17g" writes it, so a round trip is bit-lossless.
-
-    The values are formatted in blocks of at most _BLOCK, in numpy. An exact
-    zero is the token "0" or "-0", put in place without formatting. A normal
-    number with 1e-15 <= |x| < 1e16 is rounded to 17 digits by exact integer
-    arithmetic (see ``_scaled``), and its digits come from a table of 4-digit
-    strings. Its token and separator sit in a fixed-width slot whose other
-    bytes are NUL, so one mask of the nonzero bytes gives the text of a
-    block's nonzero values. Only nan, +-inf, subnormals and the values
-    outside that range are formatted by "%.17g" itself.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("save_matrix expects a 2-D array")
-    rows, cols = a.shape
-    with open(path, "wb") as fh:
-        fh.write(b"%d %d\n" % (rows, cols))
-        if cols == 0:
-            fh.write(b"\n" * rows)
-            return
-        flat = a.reshape(-1)
-        for start in range(0, flat.size, _BLOCK):
-            fh.write(_format_block(flat[start:start + _BLOCK], start, cols))
-
-
-def _read_matrix_rows(fh, path, rows, cols):
-    """The reference reader of a matrix body: ``rows`` lines of ``cols``
-    values, each token parsed by Python's ``float``."""
-    out = np.empty((rows, cols))
-    for i in range(rows):
-        parts = fh.readline().split()
-        if len(parts) != cols:
-            raise ValueError(
-                f"{path}:{i + 2}: expected {cols} values, got {len(parts)}"
-            )
-        try:
-            out[i] = [float(x) for x in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i + 2}: {exc}") from exc
-    return out
-
-
-def load_matrix(path):
-    """Read a ``save_matrix`` file. A body in the layout ``save_matrix``
-    writes is read by ``textscan.read_floats``; any other is re-read from
-    its text by the reference reader, which raises the error naming the file
-    and line. Either way each value is what Python's ``float`` reads from
-    its token, so ``1_0`` is 10."""
-    header, buf, end = textscan.read_file(path)
-    shape = textscan.shape(header)
-    if shape is not None and all(shape):
-        try:
-            return textscan.read_floats(buf, end, *shape)
-        except textscan.Refused:
-            pass
-    fh = io.StringIO(textscan.text(path, header, buf, end), newline=None)
-    rows, cols = read_shape(fh, path)
-    if rows == 0 or cols == 0:
-        raise ValueError(f"{path}: degenerate shape {rows}x{cols}")
-    out = _read_matrix_rows(fh, path, rows, cols)
-    for lineno, line in enumerate(fh, start=rows + 2):
-        if line.strip():
-            raise ValueError(f"{path}:{lineno}: more than {rows} rows")
-    return out

@@ -13,26 +13,19 @@ zeros. A subspace's ``forward`` of a matrix with fewer than GATHER_DENSITY
 * mn nonzero entries reads only the basis columns of those entries; of any
 other matrix, it is the product of the whole basis with the matrix.
 
-A mask file (``save_mask``/``load_mask``) has a ``rows cols`` header and one
-0-based ``i j`` pair per line in row-major order. ``save_mask`` writes each
-row's pairs as the row's ``"i "`` prefix joined with column names from a
-table of index strings, so no index is formatted per pair. ``load_mask``
-reads canonical lines with the tokenizer and SWAR digit step of
-``textscan`` and re-reads any other body line by line, for the pairs or an
-error that names the file and line (``path:line: ...``); a pair out of
-range or repeated is named by its file line too.
+Mask files (``save_mask``, re-exported here, and ``load_mask``) are
+``textio``'s: its docstring states their format. ``load_mask`` is
+``ObservationMask.from_indices`` over the pairs ``textio`` reads.
 """
 
-import io
-import itertools
-import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from . import textscan
+from . import textio
 from .linalg import check_matrix, qr_thin
+from .textio import save_mask  # noqa: F401 (re-exported)
 
 # A drawn basis B is accepted when every entry of B B^T 1 - 1 is at most
 # ORTHONORMAL_TOL. One Cholesky QR pass meets it up to p/mn of about 0.9
@@ -158,97 +151,14 @@ def mask_project(a, mask):
     return mask.adjoint(mask.forward(a))
 
 
-def save_mask(path, mask):
-    """Text format: "rows cols" header then one 0-based "i j" pair per line
-    in row-major order. Each row's lines are its "i " prefix joined with the
-    names of its columns, taken from a table of index strings, so no index
-    is formatted per pair."""
-    rows, cols = mask.shape
-    flat = mask.flat_indices
-    names = np.array([str(j) for j in range(cols)], dtype=object)
-    columns = names.take(flat % cols).tolist()
-    bounds = np.searchsorted(flat, np.arange(rows + 1) * cols).tolist()
-    with open(path, "w") as fh:
-        fh.write(f"{rows} {cols}\n")
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if lo < hi:
-                prefix = f"{i} "
-                fh.write(prefix + ("\n" + prefix).join(columns[lo:hi]) + "\n")
-
-
-def read_shape(fh, path):
-    """Parse the "rows cols" header line of a mask or matrix text file."""
-    header = fh.readline().split()
-    try:
-        rows, cols = map(int, header)
-    except ValueError:
-        raise ValueError(f"{path}: bad header {' '.join(header)!r}, "
-                         "expected 'rows cols'") from None
-    if rows < 0 or cols < 0:
-        raise ValueError(f"{path}: negative shape {rows}x{cols}")
-    return rows, cols
-
-
-# An index as np.loadtxt reads an int64: an optional sign and ASCII digits.
-_INDEX = re.compile(r"[+-]?[0-9]+", re.ASCII)
-_INT64 = np.iinfo(np.int64)
-
-
-def _check_mask_lines(lines, path, lineno):
-    """The reference reader of a mask body whose first line is file line
-    ``lineno``: blank lines are skipped and every other line must hold two
-    indices, split on whitespace and read by the grammar of ``_INDEX``. The
-    first line that does not raises ``path:line: ...``; else the pairs are
-    returned as an (n, 2) int64 array."""
-    pairs = []
-    for lineno, line in enumerate(lines, start=lineno):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 2:
-            raise ValueError(
-                f"{path}:{lineno}: expected 'i j', got {len(fields)} fields")
-        for field in fields:
-            if not (_INDEX.fullmatch(field)
-                    and _INT64.min <= int(field) <= _INT64.max):
-                raise ValueError(
-                    f"{path}:{lineno}: {field!r} is not an int64 index")
-        pairs.append((int(fields[0]), int(fields[1])))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
-
-
 def load_mask(path):
-    """Read a ``save_mask`` file. A body of canonical ``i j`` lines, each
-    index one to eight ASCII digits, is read by ``textscan.read_indices``;
-    any other is re-read from its text by the reference reader, which
-    raises the error naming the file and line. A pair out of range or
-    repeated is named by its file line as well."""
-    header, buf, end = textscan.read_file(path)
-    shape = textscan.shape(header)
-    pairs = None
-    if shape is not None:
-        try:
-            pairs = textscan.read_indices(buf, end).reshape(-1, 2)
-        except textscan.Refused:
-            pass
-    if pairs is None:
-        fh = io.StringIO(textscan.text(path, header, buf, end), newline=None)
-        shape = read_shape(fh, path)
-        pairs = _check_mask_lines(fh, path, 2)
+    """Read a mask file (see ``textio``). A pair out of range or repeated
+    is named by its file line."""
+    shape, pairs, lines = textio.read_pairs(path)
     try:
         return ObservationMask.from_indices(*shape, pairs)
     except _PairError as exc:
-        raise ValueError(f"{path}:{_pair_line(path, exc.at)}: {exc}") from exc
-
-
-def _pair_line(path, at):
-    """The file line of pair ``at`` of a mask file: the pairs are the
-    nonblank lines after the header."""
-    with open(path) as fh:
-        next(fh)
-        pairs = (lineno for lineno, line in enumerate(fh, start=2)
-                 if line.split())
-        return next(itertools.islice(pairs, at, None))
+        raise ValueError(f"{path}:{lines[exc.at]}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -432,6 +432,17 @@ class TestSolveCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [100000, 4000000000])
+    def test_header_beyond_the_body_is_input_error(self, tmp_path, capsys,
+                                                   rows):
+        data = tmp_path / "d_obs.txt"
+        data.write_text(f"{rows} {rows}\n1 2 3\n")
+        code = run("rpca", "--data", str(data), "--out-dir",
+                   str(tmp_path / "est"))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {data}:2: expected {rows} values, got 3\n"
+
     def test_cpcp_round_trip(self, tmp_path, capsys):
         from lowrank.datasets import generate_planted, save_matrix
         from lowrank.measurements import draw_random_subspace

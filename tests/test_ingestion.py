@@ -11,6 +11,7 @@ must match them bit for bit, or raise the same message.
 """
 
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lowrank import datasets, measurements
+from lowrank import datasets, measurements, textio
 from lowrank.cli import main
 from lowrank.datasets import load_matrix, load_ratings, save_matrix
 from lowrank.measurements import ObservationMask, load_mask, save_mask
@@ -261,6 +262,22 @@ class TestNonFiniteRatings:
 
 
 class TestLoadMatrixEdges:
+    @pytest.mark.parametrize("rows", [100000, 4000000000])
+    def test_header_beyond_the_body_allocates_nothing(self, tmp_path, rows):
+        # a body of B bytes holds at most (B + 1) // 2 tokens: the reader
+        # names the short row without allocating rows x rows values
+        path = tmp_path / "m.txt"
+        path.write_text(f"{rows} {rows}\n1 2 3\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{path}:2: expected {rows} values, got 3"
+        assert peak < 2 ** 20
+
     def test_blank_line_inside_body_errors_at_its_line(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("3 2\n1 2\n\n3 4\n5 6\n")
@@ -345,7 +362,14 @@ def float_load_matrix(path):
 def loadtxt_load_mask(path):
     """``load_mask`` as it was when ``np.loadtxt`` parsed the pairs."""
     with open(path) as fh:
-        rows, cols = measurements.read_shape(fh, path)
+        header = fh.readline().split()
+        try:
+            rows, cols = map(int, header)
+        except ValueError:
+            raise ValueError(f"{path}: bad header {' '.join(header)!r}, "
+                             "expected 'rows cols'") from None
+        if rows < 0 or cols < 0:
+            raise ValueError(f"{path}: negative shape {rows}x{cols}")
         start, lineno = fh.tell(), 2
         while (line := fh.readline()) and not line.strip():
             start, lineno = fh.tell(), lineno + 1
@@ -359,13 +383,17 @@ def loadtxt_load_mask(path):
                                      f"{pairs.shape[1]} fields")
             except ValueError as exc:
                 fh.seek(start)
-                measurements._check_mask_lines(fh, path, lineno)
+                textio._check_mask_lines(fh, path, lineno)
                 raise ValueError(f"{path}: {exc}") from exc
     try:
         return ObservationMask.from_indices(rows, cols, pairs)
     except measurements._PairError as exc:
-        line = measurements._pair_line(path, exc.at)
-        raise ValueError(f"{path}:{line}: {exc}") from exc
+        # the pairs are the nonblank lines after the header
+        with open(path) as fh:
+            next(fh)
+            lines = [lineno for lineno, line in enumerate(fh, start=2)
+                     if line.split()]
+        raise ValueError(f"{path}:{lines[exc.at]}: {exc}") from exc
 
 
 def read_outcome(load, path):
@@ -427,10 +455,26 @@ def decimal_tokens(draw):
 
 
 @st.composite
+def headers(draw, rows, cols):
+    """The header line of a rows x cols file, mostly as the writers give
+    it; else a form that ``int`` reads (a sign, blanks, a leading zero, an
+    underscore, a non-ASCII digit) or one it refuses (three fields, a
+    negative or non-numeric field)."""
+    if draw(st.integers(0, 3)):
+        return f"{rows} {cols}"
+    arabic = str(rows).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    return draw(st.sampled_from([
+        f"+{rows} {cols}", f" {rows}\t{cols} ", f"0{rows} {cols}",
+        f"{rows} {cols} 4", f"-1 {cols}", f"x {cols}", f"{rows}_0 {cols}",
+        f"{arabic} {cols}"]))
+
+
+@st.composite
 def matrix_texts(draw):
     """Matrix files in the canonical layout, and in others: tabs, runs of
     spaces, leading blanks, CRLF, no final newline, blank lines at the end
-    or inside, a missing or surplus token or row."""
+    or inside, a missing or surplus token or row; headers as ``headers``
+    draws them."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     canonical = draw(st.booleans())
     token = draw(st.sampled_from([
@@ -450,7 +494,7 @@ def matrix_texts(draw):
                      draw(st.sampled_from(["", "  ", "1 2"])))
     end = "\n" if canonical else draw(st.sampled_from(["\n", "\r\n"]))
     tail = draw(st.sampled_from([end, "", end * 2, end + " \t" + end]))
-    return f"{rows} {cols}{end}" + end.join(lines) + tail
+    return draw(headers(rows, cols)) + end + end.join(lines) + tail
 
 
 class TestMatrixReadsAsFloat:
@@ -475,6 +519,8 @@ class TestMatrixReadsAsFloat:
     @example(text="2 1\n1\n\n2\n")
     @example(text="1 2\n0 -0\n\n \t\n")
     @example(text="1 1\n" + "1" * 70 + "\n")
+    @example(text="+2 1\n7\n8\n")
+    @example(text="2 1\r7\r8\r")
     def test_texts(self, tmp_path, text):
         path = tmp_path / "m.txt"
         path.write_bytes(text.encode())
@@ -525,13 +571,13 @@ class TestCanonicalFilesTakeTheKernel:
         a[a < 0] = 0.0
         a[0, :3] = [-0.0, 1e-7, 12345.678]
         save_matrix(tmp_path / "m.txt", a)
-        monkeypatch.setattr(datasets, "_read_matrix_rows", None)
+        monkeypatch.setattr(textio, "_read_matrix_rows", None)
         assert load_matrix(tmp_path / "m.txt").tobytes() == a.tobytes()
 
     def test_mask(self, tmp_path, monkeypatch):
         marker = np.random.default_rng(4).random((30, 40)) < 0.5
         save_mask(tmp_path / "mask.txt", ObservationMask(marker))
-        monkeypatch.setattr(measurements, "_check_mask_lines", None)
+        monkeypatch.setattr(textio, "_check_mask_lines", None)
         assert np.array_equal(load_mask(tmp_path / "mask.txt").marker, marker)
 
 
@@ -539,7 +585,8 @@ class TestCanonicalFilesTakeTheKernel:
 def mask_texts(draw):
     """Mask files as save_mask writes them and in other layouts: signs,
     leading zeros, long or odd indices, tabs, CRLF, blank lines, three
-    fields, pairs out of range or repeated."""
+    fields, pairs out of range or repeated; headers as ``headers`` draws
+    them."""
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     index = st.one_of(st.integers(0, 6).map(str), st.sampled_from(
         ["+1", "-0", "007", "99999999999999999999", "123456789", "1_0",
@@ -558,7 +605,8 @@ def mask_texts(draw):
             lines.append(draw(st.sampled_from(["", " "])))
     end = "\n" if canonical else draw(st.sampled_from(["\n", "\r\n"]))
     tail = draw(st.sampled_from([end, "", end * 2]))
-    return f"{rows} {cols}{end}" + end.join(lines) + (tail if lines else "")
+    return (draw(headers(rows, cols)) + end + end.join(lines)
+            + (tail if lines else ""))
 
 
 def mask_outcome(load, path):
@@ -578,6 +626,9 @@ def mask_outcome(load, path):
 @example(text="2 3\n\n0 1\n")
 @example(text="3 3\n0 1 2\n")
 @example(text="2 3\n0 1\n1 ")
+@example(text="2 3\n0 1\n\n1 2\n0 1\n")
+@example(text="2 3\n0 1\n0 2\n1 0\n0 2\n")
+@example(text="+2 3\n0 1\n1 2\n")
 def test_load_mask_matches_loadtxt_reader(tmp_path, text):
     path = tmp_path / "mask.txt"
     path.write_bytes(text.encode())

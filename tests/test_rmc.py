@@ -400,6 +400,31 @@ class TestSolveRpca:
         assert relative_error(res.low_rank(), p.l0) <= 1e-2
 
 
+class TestPenaltyNeverFalls:
+    """Every "auto" alpha0 is at most alpha_max, the zero-data start and
+    plain completion's Frobenius start included, so the traced alpha of
+    every solver is nondecreasing and at most alpha_max."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    @pytest.mark.parametrize("solver", ["rmc", "rpca", "mc", "cpcp"])
+    def test_traced_alpha(self, solver, scale):
+        p = planted(m=30, n=30, obs_frac=0.7, seed=23)
+        full = scale * (p.l0 + p.s0)
+        cfg = SolverConfig(lam=1.0, d=4, alpha_max=1e-3, max_iter=20)
+        if solver == "rmc":
+            res = solve_rmc(scale * p.d_obs, p.mask, cfg)
+        elif solver == "rpca":
+            res = solve_rpca(full, cfg)
+        elif solver == "mc":
+            res = solve_mc(scale * p.d_obs, p.mask, cfg)
+        else:
+            q = draw_random_subspace(30, 30, 450, seed=24)
+            res = solve_cpcp(q.forward(full), q, cfg)
+        alphas = [rec.alpha for rec in res.trace]
+        assert all(a <= b for a, b in zip(alphas, alphas[1:])), alphas
+        assert max(alphas) <= cfg.alpha_max
+
+
 class TestConfigValidation:
     def test_rho_outside_guideline_warns(self):
         with pytest.warns(UserWarning, match="rho"):

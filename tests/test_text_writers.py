@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lowrank.datasets import _BLOCK, load_matrix, save_matrix
 from lowrank.measurements import ObservationMask, load_mask, save_mask
+from lowrank.textio import WRITE_BLOCK as _BLOCK, load_matrix, save_matrix
 
 
 def reference_save_matrix(path, a):

@@ -93,6 +93,9 @@ class ObservationMask:
 
     @classmethod
     def from_indices(cls, rows, cols, pairs):
+        if int(rows) * int(cols) > np.iinfo(np.int64).max:
+            raise ValueError(f"mask shape {rows}x{cols} has more than "
+                             "2^63 - 1 entries")
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         i, j = pairs[:, 0], pairs[:, 1]
         outside = (i < 0) | (i >= rows) | (j < 0) | (j >= cols)
@@ -159,6 +162,8 @@ def load_mask(path):
         return ObservationMask.from_indices(*shape, pairs)
     except _PairError as exc:
         raise ValueError(f"{path}:{lines[exc.at]}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

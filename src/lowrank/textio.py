@@ -39,8 +39,11 @@ is kept only where the bound on the product's error cannot reach the
 midpoint between the result and a neighbouring double (after Clinger, "How
 to Read Floating Point Numbers Accurately", PLDI 1990). Python's ``float``
 reads each token the kernel cannot vouch for: ``nan``, ``1_0``, more than
-24 bytes, a point past byte 16, an "e" before the last 8 bytes, N >= 2^62,
-|q| > ``_QMAX``, a near-tie. Every token is thus read as ``float`` reads it.
+24 bytes, an "e" before the last 8 bytes, N >= 2^62, |q| > ``_QMAX``, a
+near-tie. Every token is thus read as ``float`` reads it. The kernel finds
+each token's form in the words it reads: the point in its first 24 bytes,
+the "e" in its last 8, and it parses exponents only for a batch in which a
+token has one.
 
 Writing. ``save_matrix`` writes each value as ``"%.17g"`` does, byte for
 byte, so a round trip is bit-lossless. It formats blocks of at most
@@ -111,11 +114,13 @@ def read_file(path):
 def decode(data, path, line=1):
     """``data`` as UTF-8 text; an undecodable byte raises ``ValueError``
     naming the file and the byte's line, counted from ``line``, the line of
-    data's first byte."""
+    data's first byte. Lines end in "\\n", "\\r\\n" or a lone "\\r"."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line += data.count(b"\n", 0, exc.start)
+        before = data[:exc.start]
+        line += (before.count(b"\n") + before.count(b"\r")
+                 - before.count(b"\r\n"))
         raise ValueError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is "
                          f"not UTF-8 ({exc.reason})") from None
 
@@ -300,9 +305,9 @@ def _first(w, byte):
     return np.minimum(at, _U64(8)).view(np.int64)
 
 
-def _decimal(buf, starts, lengths, exponents):
+def _decimal(buf, starts, lengths):
     """The values of the tokens at ``starts``, and which of them the kernel
-    vouches for. Without ``exponents`` no token has an "e" or "E"."""
+    vouches for."""
     words = _words(buf)
     first = buf[starts]
     negative = first == 45                        # "-"
@@ -310,36 +315,29 @@ def _decimal(buf, starts, lengths, exponents):
     s = starts + signed
     n = lengths - signed
     w = [words[s], words[s + 8], words[s + 16]]
-    # The point is looked for in the first 16 bytes, the "e" in the last 8;
-    # a point or "e" elsewhere fails the digit test. The second word is
-    # searched only if a token has no point in its first.
+    # The point is looked for in the first 24 bytes, the "e" in the last 8;
+    # a point or "e" elsewhere fails the digit test. The later words are
+    # searched only if a token has no point in its first, and the exponent
+    # is parsed only if a token has an "e".
     dot = _first(w[0], 46)
     if dot.max() == 8:
         dot += (dot >> 3) * _first(w[1], 46)
-    dot += (dot >> 4) << 3                        # none: 24
-    if exponents:
-        last = words[s + n - 8]
-        last &= _TOP.take(np.minimum(n, 64))      # not the bytes before
-        e_at = _first(last | _CASE, 101)
-        exp = n - 8 + e_at                        # where the mantissa ends
-    else:
-        exp = n
+        dot += (dot >> 4) * _first(w[2], 46)      # none: 24
+    last = words[s + n - 8]
+    last &= _TOP.take(np.minimum(n, 64))          # not the bytes before
+    e_at = _first(last | _CASE, 101)
+    exp = n - 8 + e_at                            # where the mantissa ends
     point = np.minimum(dot, exp)
     fraction = np.maximum(exp - point - 1, 0)     # digits after the point
     digits = np.minimum(point + fraction, 64)
-    # Delete the point: the bytes after it move down by one. Where every
-    # point, or integer's end, is in the first word, the other two move.
-    moved = point.max() < 8
+    # Delete the point: the bytes after it move down by one.
     for i in range(3):
         down = w[i] >> _U64(8)
         if i < 2:
             down |= w[i + 1] << _U64(56)
-        if i == 0 or not moved:
-            down ^= w[i]
-            down &= _PAST[i].take(point)
-            w[i] ^= down
-        else:
-            w[i] = down
+        down ^= w[i]
+        down &= _PAST[i].take(point)
+        w[i] ^= down
     v, bad = zip(*(_digits(_lifted(w[i], _LIFT[i].take(digits)))
                    for i in range(3)))
     head = v[0] * _SCALE[1].take(digits)
@@ -351,7 +349,7 @@ def _decimal(buf, starts, lengths, exponents):
     flags = bad[0] | bad[1]
     flags |= bad[2]
     q = -fraction
-    if exponents:
+    if e_at.min() < 8:
         # an optional sign and digits, the top bytes of last
         sign = last >> ((e_at.view(np.uint64) << _U64(3)) + _U64(8))
         sign &= _U64(0xFF)
@@ -407,11 +405,11 @@ def _decimal(buf, starts, lengths, exponents):
     return r, ok
 
 
-def _fill(out, buf, at, starts, lengths, exponents):
+def _fill(out, buf, at, starts, lengths):
     """Write the values of the tokens at ``starts`` to ``out[at]``: the
     kernel reads them, and Python's ``float`` the ones it does not vouch
     for."""
-    values, ok = _decimal(buf, starts, lengths, exponents)
+    values, ok = _decimal(buf, starts, lengths)
     for k in np.flatnonzero(~ok).tolist():
         start = int(starts[k])
         token = buf[start:start + int(lengths[k])].tobytes()
@@ -426,7 +424,7 @@ def read_floats(buf, end, rows, cols):
     """The rows x cols values of a canonical matrix body, each as Python's
     ``float`` reads its token; else ``Refused``. The tokens "0" and "-0"
     are set in place; the others go to the kernel ``READ_BLOCK`` at a
-    time, gathered over chunks, with a note of the chunks that hold an "e".
+    time, gathered over chunks.
     A body of B bytes holds at most (B + 1) // 2 tokens: a shape that claims
     more is refused before its values are allocated."""
     if rows * cols > (end - _FRONT + 1) // 2:
@@ -440,23 +438,18 @@ def read_floats(buf, end, rows, cols):
         minus = minus[buf[starts[minus] + 1] == 48]
         out[done + minus] = -0.0
         zero[minus] = True
-        span = buf[starts[0]:starts[-1] + lengths[-1]]
-        exponents = ((span | 32) == 101).any()
         at = np.flatnonzero(~zero)
-        held.append((at + done, starts[at], lengths[at],
-                     np.full(at.size, exponents)))
+        held.append((at + done, starts[at], lengths[at]))
         done += zero.size
         if (sum(part[0].size for part in held) >= READ_BLOCK
                 or done == out.size):
-            at, starts, lengths, exponents = map(np.concatenate, zip(*held))
+            at, starts, lengths = map(np.concatenate, zip(*held))
             stop = (at.size if done == out.size
                     else at.size // READ_BLOCK * READ_BLOCK)
             for lo in range(0, stop, READ_BLOCK):
                 part = slice(lo, min(lo + READ_BLOCK, stop))
-                _fill(out, buf, at[part], starts[part], lengths[part],
-                      exponents[part].any())
-            held = [(at[stop:], starts[stop:], lengths[stop:],
-                     exponents[stop:])]
+                _fill(out, buf, at[part], starts[part], lengths[part])
+            held = [(at[stop:], starts[stop:], lengths[stop:])]
     return out.reshape(rows, cols)
 
 

@@ -581,6 +581,82 @@ class TestCanonicalFilesTakeTheKernel:
         assert np.array_equal(load_mask(tmp_path / "mask.txt").marker, marker)
 
 
+@pytest.fixture
+def refused(monkeypatch):
+    """The count of tokens that ``_decimal`` leaves to ``float``, one entry a
+    batch of the loads that follow."""
+    counts = []
+    decimal = textio._decimal
+
+    def counted(*args):
+        values, ok = decimal(*args)
+        counts.append(int(np.count_nonzero(~ok)))
+        return values, ok
+
+    monkeypatch.setattr(textio, "_decimal", counted)
+    return counts
+
+
+def write_tokens(path, tokens, cols):
+    rows = len(tokens) // cols
+    path.write_text(f"{rows} {cols}\n" + "".join(
+        " ".join(tokens[i * cols:(i + 1) * cols]) + "\n" for i in range(rows)))
+
+
+class TestKernelReadsEveryForm:
+    """Token forms that the number kernel reads itself, each value bit for
+    bit as ``float`` reads its token."""
+
+    def test_sixteen_integer_digits(self, tmp_path, refused):
+        # "%.17g" writes 1e15 <= |x| < 1e16 with the point at byte 16
+        rng = np.random.default_rng(6)
+        a = rng.uniform(1e15, 1e16, (200, 200))
+        a *= rng.choice([-1.0, 1.0], a.shape)
+        path = tmp_path / "m.txt"
+        save_matrix(path, a)
+        tokens = path.read_bytes().replace(b"-", b"").split()
+        assert any(token.find(b".") == 16 for token in tokens)
+        assert_reads_as_float(path)
+        assert refused and sum(refused) == 0
+
+    def test_exponent_only_in_the_second_batch(self, tmp_path, refused):
+        rng = np.random.default_rng(7)
+        tokens = ["%.6f" % x for x in rng.uniform(0.5, 9.5, 100 * 100)]
+        tokens[textio.READ_BLOCK + 100] = "1.5e-7"
+        path = tmp_path / "m.txt"
+        write_tokens(path, tokens, 100)
+        assert_reads_as_float(path)
+        assert len(refused) == 2 and sum(refused) == 0
+
+    def test_every_token_has_an_exponent(self, tmp_path, refused):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(60 * 50) * 10.0 ** rng.integers(-250, 250,
+                                                                60 * 50)
+        # 17 significant digits, so that no token is a near-tie, which the
+        # kernel leaves to float
+        tokens = ["%.16e" % v for v in x]
+        tokens[::2] = [t.upper() for t in tokens[::2]]
+        path = tmp_path / "m.txt"
+        write_tokens(path, tokens, 50)
+        assert_reads_as_float(path)
+        assert refused and sum(refused) == 0
+
+    def test_point_at_bytes_16_to_23(self, tmp_path, refused):
+        rng = np.random.default_rng(9)
+        tokens = []
+        for point in range(16, 24):
+            for fraction in range(24 - point):
+                width = point + fraction
+                digits = str(rng.integers(1, 10 ** min(width, 18)))
+                digits = digits.rjust(width, "0")
+                sign = str(rng.choice(["", "-", "+"]))
+                tokens.append(sign + digits[:point] + "." + digits[point:])
+        path = tmp_path / "m.txt"
+        write_tokens(path, tokens, len(tokens))
+        assert_reads_as_float(path)
+        assert refused and sum(refused) == 0
+
+
 @st.composite
 def mask_texts(draw):
     """Mask files as save_mask writes them and in other layouts: signs,
@@ -643,6 +719,8 @@ class TestUndecodableBytes:
         (b"2 2\n1 2\n3 \xff\n", 3),
         (b"2 \xff\n1 2\n3 4\n", 1),
         (b"1 2\n1 2\n\n\xfe\n", 4),
+        (b"2 1\r7\r\xff\r", 3),           # a lone "\r" ends a line too
+        (b"2 1\r\n7\r\n\xff\r\n", 3),
     ])
     def test_load_matrix(self, tmp_path, data, line):
         path = tmp_path / "m.txt"
@@ -664,6 +742,13 @@ class TestUndecodableBytes:
         with pytest.raises(ValueError) as info:
             load_ratings(path)
         assert str(info.value).startswith(f"{path}:4: byte 0xff is not UTF-8")
+
+    def test_load_ratings_cr(self, tmp_path):
+        path = tmp_path / "r.dat"
+        path.write_bytes(b"1 2 3\r4 5 \xff\r")
+        with pytest.raises(ValueError) as info:
+            load_ratings(path)
+        assert str(info.value).startswith(f"{path}:2: byte 0xff is not UTF-8")
 
     def test_cli_rmc(self, tmp_path, capsys):
         data, mask = tmp_path / "d_obs.txt", tmp_path / "mask.txt"

@@ -41,6 +41,11 @@ class TestObservationMask:
     def test_empty_pairs(self):
         assert ObservationMask.from_indices(2, 2, []).dim == 0
 
+    def test_shape_beyond_int64_flat_indices_rejected(self):
+        # 2^32 x 2^32 entries: flat index i * cols + j would wrap round
+        with pytest.raises(ValueError, match=r"more than 2\^63 - 1 entries"):
+            ObservationMask.from_indices(2 ** 32, 2 ** 32, [[0, 1]])
+
     def test_roundtrip_through_file(self, tmp_path):
         mask = ObservationMask.from_indices(3, 4, [(0, 0), (1, 3), (2, 1)])
         path = tmp_path / "mask.txt"
@@ -143,6 +148,14 @@ class TestMaskFile:
         with pytest.raises(ValueError) as info:
             load_mask(path)
         assert str(path) in str(info.value)
+
+    def test_shape_beyond_int64_flat_indices_names_file(self, tmp_path):
+        path = self.write(tmp_path, "4000000000 4000000000\n"
+                                    "3999999999 3999999999\n")
+        with pytest.raises(ValueError) as info:
+            load_mask(path)
+        assert str(info.value) == (f"{path}: mask shape 4000000000x4000000000"
+                                   " has more than 2^63 - 1 entries")
 
     def test_blank_lines_skipped(self, tmp_path):
         path = self.write(tmp_path, "2 3\n\n   \n0 1\n\n1 2\n\n")

@@ -37,13 +37,15 @@ N 10^q is formed as a double-double, from an error-free product with a
 two-part table of 10^q (Dekker's TwoProduct), and rounded once; the rounding
 is kept only where the bound on the product's error cannot reach the
 midpoint between the result and a neighbouring double (after Clinger, "How
-to Read Floating Point Numbers Accurately", PLDI 1990). Python's ``float``
-reads each token the kernel cannot vouch for: ``nan``, ``1_0``, more than
-24 bytes, an "e" before the last 8 bytes, N >= 2^62, |q| > ``_QMAX``, a
-near-tie. Every token is thus read as ``float`` reads it. The kernel finds
-each token's form in the words it reads: the point in its first 24 bytes,
-the "e" in its last 8, and it parses exponents only for a batch in which a
-token has one.
+to Read Floating Point Numbers Accurately", PLDI 1990). For q >= 0 below
+2^79 the value is an integer, and a midpoint the bound cannot exclude is
+the value itself: an exact tie, which the kernel rounds half to even.
+Python's ``float`` reads each token the kernel cannot vouch for: ``nan``,
+``1_0``, more than 24 bytes, an "e" before the last 8 bytes, N >= 2^62,
+|q| > ``_QMAX``, any other near-tie. Every token is thus read as ``float``
+reads it. The kernel finds each token's form in the words it reads: the
+point in its first 24 bytes, the "e" in its last 8, and it parses exponents
+only for a batch in which a token has one.
 
 Writing. ``save_matrix`` writes each value as ``"%.17g"`` does, byte for
 byte, so a round trip is bit-lossless. It formats blocks of at most
@@ -398,9 +400,21 @@ def _decimal(buf, starts, lengths):
     half = (bits & _EXPONENT) - _U64(53 << 52)
     below = np.flatnonzero(((bits & _FRACTION) == 0) & (low < 0))
     half[below] -= _U64(1 << 52)
+    up = low > 0
     np.abs(low, out=low)
     low += r * 2.0 ** -80
-    ok &= (low < half.view(np.float64)) | (big == 0)
+    clear = (low < half.view(np.float64)) | (big == 0)
+    # For q >= 0 the true value N 10^q is an integer, and so is every
+    # midpoint from 2^53 up; below that no midpoint is within r 2^-79 of an
+    # integer. So below 2^79 a midpoint that the bound cannot exclude is
+    # within r 2^-79 < 1 of the value, and is the value: a tie, which rounds
+    # half to even, to whichever of r and its neighbour towards the midpoint
+    # has an even significand.
+    tie = np.flatnonzero(~clear & ok & (q >= _QMAX) & (r < 2.0 ** 79))
+    odd = tie[(bits[tie] & _U64(1)) == 1]
+    bits[odd] += np.where(up[odd], _U64(1), ~_U64(0))
+    ok &= clear
+    ok[tie] = True
     bits |= negative.view(np.uint8).astype(np.uint64) << _U64(63)
     return r, ok
 

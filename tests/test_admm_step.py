@@ -3,9 +3,11 @@
 For robust completion the step sets Y = alpha clip(W, +-1/alpha) and
 S = W - clip(W, +-1/alpha), with W = D - L + Y_old / alpha on Omega. So
 after every iteration |Y| <= 1 on Omega, Y = 0 off it, and Y = sign(S)
-wherever S is nonzero: the optimality conditions of the l1 term. The step
-works in buffers allocated once, and the objective's nuclear norm comes
-from the SVD inside ``svt``.
+wherever S is nonzero: the optimality conditions of the l1 term. From
+iteration 2 on the step is over-relaxed, with
+W = gamma (D - L) + (1 - gamma) S_prev + Y_old / alpha, and the same holds.
+The step works in buffers allocated once, and the objective's nuclear norm
+comes from the SVD inside ``svt``.
 
 The driver carries C = Y / alpha in place of Y. Its steps are checked
 against the steps that carried Y, kept here as references with the
@@ -27,6 +29,7 @@ from lowrank.config import SolverConfig
 from lowrank.cpcp import solve_cpcp
 from lowrank.datasets import generate_planted
 from lowrank.measurements import ObservationMask
+from lowrank.prox import soft_threshold
 from lowrank.rmc import (SPARSE_DENSITY, _mc_step, _OmegaMatrix, _robust_step,
                          solve_mc, solve_rmc, solve_rpca)
 
@@ -268,6 +271,72 @@ def test_alpha_at_alpha_max(solver):
     alpha = SolverConfig().alpha_max
     data, low, c_prev = draw(2, 300, alpha, 3.0, 0.5)
     check_phase(solver, data, low, c_prev, alpha, alpha, alpha)
+
+
+def reference_relaxed_step(data, low, s_prev, y_prev, alpha, gamma):
+    """The over-relaxed robust step as the ADMM update with
+    L^ = gamma L + (1 - gamma) Z_prev, Z_prev = D - S_prev: S, Y, Z - L
+    measured from L, and ||S||_1."""
+    low_hat = gamma * low + (1.0 - gamma) * (data - s_prev)
+    s = soft_threshold(data - low_hat + y_prev / alpha, 1.0 / alpha)
+    y = y_prev + alpha * (data - s - low_hat)
+    return {"s": s, "y": y, "gap": data - s - low,
+            "term": float(np.abs(s).sum())}
+
+
+@pytest.mark.parametrize("gamma", [1.3, rmc.RELAXATION, 1.7])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 400),
+       log_alpha=st.floats(-3, 3), growth=st.sampled_from([1.0, 1.1, 1.5]),
+       log_level=st.floats(-2, 2), bound_frac=st.floats(0, 1))
+def test_relaxed_step_matches_reference(gamma, seed, size, log_alpha, growth,
+                                        log_level, bound_frac):
+    alpha_prev = 10.0**log_alpha
+    alpha = growth * alpha_prev
+    data, low, c_prev = draw(seed, size, alpha_prev, 10.0**log_level,
+                             bound_frac)
+    # S_prev = W_prev - C_prev is zero where C_prev is inside the bound and
+    # has C_prev's sign where C_prev is at it
+    rng = np.random.default_rng(seed + 1)
+    at_bound = np.abs(c_prev) == 1.0 / alpha_prev
+    s_prev = np.where(at_bound, np.sign(c_prev), 0.0) * rng.exponential(
+        10.0**log_level / alpha_prev, size)
+    c, gap, work = np.empty_like(data), np.empty_like(data), s_prev.copy()
+    term = _robust_step(data, low, c_prev, alpha_prev / alpha, alpha, c, gap,
+                        work, gamma=gamma)
+    want = reference_relaxed_step(data, low, s_prev, alpha_prev * c_prev,
+                                  alpha, gamma)
+    scale = gamma * (np.abs(data) + np.abs(low)) + (gamma - 1.0) * (
+        np.abs(data) + np.abs(s_prev) + np.abs(low)) + \
+        alpha_prev / alpha * np.abs(c_prev)
+    for name, got in (("s", work), ("gap", gap)):
+        assert np.all(np.abs(got - want[name]) <= ULPS * scale), name
+    assert np.all(np.abs(alpha * c - want["y"]) <=
+                  ULPS * np.maximum(max(alpha, 1.0) * scale, 1.0))
+    assert np.all(np.abs(alpha * c) <= 1 + ULPS)
+    support = work != 0
+    assert np.all(np.abs(alpha * c[support] - np.sign(work[support]))
+                  <= ULPS)
+    assert abs(term - want["term"]) <= ULPS * scale.sum()
+
+
+def test_first_iteration_is_unrelaxed(monkeypatch):
+    # the relaxation starts at iteration 2, the first whose Z_prev came from
+    # a step: iteration 1 is the unrelaxed scheme's, bit for bit
+    p = planted(DENSE_OBS)
+    cfg = SolverConfig(lam=0.7 * np.sqrt(80 * DENSE_OBS), d=5)
+
+    def path():
+        snaps = []
+        solve_rmc(p.d_obs, p.mask, cfg, iter_callback=lambda it: snaps.append(
+            (it.u.tobytes(), it.v.tobytes(), it.s.tobytes(), it.y.tobytes())))
+        return snaps
+
+    relaxed = path()
+    monkeypatch.setattr(rmc, "RELAXATION", 1.0)
+    unrelaxed = path()
+    assert relaxed[0] == unrelaxed[0]
+    assert relaxed[1][2:] != unrelaxed[1][2:]
 
 
 @pytest.mark.parametrize("level, clipped", [(1e3, True), (1e-3, False)])

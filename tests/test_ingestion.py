@@ -529,9 +529,10 @@ class TestMatrixReadsAsFloat:
 
 def near_ties():
     """Tokens of 17 to 25 digits just above, at and below the midpoint
-    between two neighbouring doubles, and exact ties: integers, and
-    fractions whose 10^-q is inexact, which round to even only if the
-    kernel leaves them to float."""
+    between two neighbouring doubles, and exact ties: integers, which the
+    kernel rounds half to even itself, and fractions whose 10^-q is
+    inexact, which round to even only if the kernel leaves them to
+    float."""
     tokens = ["9007199254740993", "18014398509481986", "18014398509481985",
               "9007199254740993.0", "4503599627370496.5", "1e23",
               "9007199254740991.5", "4.50359962737049575e15",
@@ -653,6 +654,61 @@ class TestKernelReadsEveryForm:
                 tokens.append(sign + digits[:point] + "." + digits[point:])
         path = tmp_path / "m.txt"
         write_tokens(path, tokens, len(tokens))
+        assert_reads_as_float(path)
+        assert refused and sum(refused) == 0
+
+
+def exact_ties():
+    """Tokens of N 10^q, N < 4e18 and q >= 0, that are exact midpoints
+    between two neighbouring doubles: M 2^a for an odd 54-bit M = K 5^q,
+    from 2^53 up to 2^79, 1e23 among them. Each is written as its integer
+    digits where those are below 4e18, as N e q, and in "%.*e" form, with
+    either sign."""
+    rng = np.random.default_rng(11)
+    tokens = []
+    for q in range(24):
+        five = 5 ** q
+        lo, hi = -(-2 ** 53 // five), -(-2 ** 54 // five)
+        for k in rng.integers(lo, hi, 6).tolist() + [lo, hi - 1]:
+            k |= 1
+            if not 2 ** 53 <= k * five < 2 ** 54:
+                continue
+            for a in {q, q + 1, (62 - k.bit_length()) // 2 + q,
+                      min(62 - k.bit_length() + q, 25)}:
+                n = k << (a - q)
+                if n >= 4 * 10 ** 18 or k * five << a >= 2 ** 79:
+                    continue
+                sign = str(rng.choice(["", "-"]))
+                digits = str(n)
+                point = f"{digits[0]}.{digits[1:]}e+{q + len(digits) - 1}"
+                tokens += [f"{sign}{digits}e{q}", sign + point]
+                if k * five << a < 4 * 10 ** 18:
+                    tokens.append(f"{sign}{k * five << a}")
+    return tokens
+
+
+class TestExactTies:
+    """Exact midpoints with q >= 0 are settled by the kernel, half to even,
+    as ``float`` settles them."""
+
+    def test_constructed_ties(self, tmp_path, refused):
+        tokens = exact_ties()
+        assert "1e23" in tokens or "-1e23" in tokens
+        assert len(tokens) > 150
+        values = [Decimal(t) for t in tokens]
+        assert all(v == int(v) for v in values)
+        path = tmp_path / "m.txt"
+        write_tokens(path, tokens, len(tokens))
+        assert_reads_as_float(path)
+        assert refused and sum(refused) == 0
+
+    @pytest.mark.parametrize("low, high", [(1e16, 1e17), (1e17, 1e18)])
+    def test_sixteen_significant_digits(self, tmp_path, refused, low, high):
+        # "%.15e" gives 16 significant digits, as shortest-repr writers do;
+        # a quarter of these tokens in [1e16, 1e17) are exact ties
+        x = np.random.default_rng(12).uniform(low, high, 20_000)
+        path = tmp_path / "m.txt"
+        write_tokens(path, ["%.15e" % v for v in x], 100)
         assert_reads_as_float(path)
         assert refused and sum(refused) == 0
 

@@ -14,10 +14,13 @@ iterations on average for the driver, 41.1 for ``p @ v``). So the count
 above the true rank is compared with ``factored_rmc``, the dense loop in the
 driver's grouping, and every other check with the dense products; that the
 driver's products equal ``p @ v`` and ``p.T @ u`` within rounding is checked
-on its own. The RMC and MC checks run on both sides of ``SPARSE_DENSITY``:
-above it the driver takes its two products with a dense m x n buffer, below
-it with a CSR array over Omega. Both evaluate U V^T on Omega by row blocks,
-and one instance on each side spans several blocks.
+on its own. ``dense_rmc`` takes the driver's over-relaxation
+(``rmc.RELAXATION``, read at each call) from iteration 2 on, so that the two
+remain two implementations of one algorithm; one check runs both at 1, the
+unrelaxed scheme. The RMC and MC checks run on both sides of
+``SPARSE_DENSITY``: above it the driver takes its two products with a dense
+m x n buffer, below it with a CSR array over Omega. Both evaluate U V^T on
+Omega by row blocks, and one instance on each side spans several blocks.
 """
 
 import tracemalloc
@@ -100,8 +103,12 @@ def _grouped_product(p, w, left, right):
 def dense_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None,
               factored=False):
     """Robust completion with every iterate held as a dense m x n matrix.
-    ``factored`` takes the products with P in the driver's grouping."""
+    ``factored`` takes the products with P in the driver's grouping. From
+    iteration 2 on, the S-update and the dual step take
+    L^ = gamma L + (1 - gamma) (D - S_prev) in place of L on Omega, and the
+    residual is measured from L."""
     m, n = d_obs.shape
+    gamma = rmc.RELAXATION
     data, alpha, threshold = _start(d_obs, mask, cfg, robust=True)
     marker = mask.marker
     lam = cfg.resolve_lambda(m, n)
@@ -118,10 +125,13 @@ def dense_rmc(d_obs, mask, cfg, u_scheme="qr", iter_callback=None,
         v, _, _ = svt(_grouped_product(p.T, u, v_prev, u_prev) if factored
                    else p.T @ u, lam / alpha)
         low_rank = u @ v.T
-        a = data - low_rank + y / alpha
+        fit = data - low_rank                  # -L off Omega
+        if k > 1:                              # D - L^ on Omega
+            fit = np.where(marker, gamma * fit + (1.0 - gamma) * s, fit)
+        a = fit + y / alpha
         s = np.where(marker, soft_threshold(a, 1.0 / alpha), a)
+        y = y + alpha * (fit - s)
         residual_mat = data - low_rank - s
-        y = y + alpha * residual_mat
         residual = float(np.linalg.norm(residual_mat))
         objective = float(np.abs(s[marker]).sum()) + lam * nuclear_norm(v)
         trace.append(IterationRecord(k, residual, objective, alpha, d))
@@ -289,6 +299,15 @@ def test_rmc_matches_dense_loop_every_iteration(seed, u_scheme):
 @pytest.mark.parametrize("u_scheme", ["qr", "svd"])
 def test_rmc_csr_path_matches_dense_loop_every_iteration(seed, u_scheme):
     check_rmc_path(seed, u_scheme, CSR_OBS)
+
+
+@pytest.mark.parametrize("obs_frac", [DENSE_OBS, CSR_OBS])
+def test_unrelaxed_rmc_matches_dense_loop_every_iteration(obs_frac,
+                                                          monkeypatch):
+    # gamma = 1, the scheme that the source paper's convergence analysis
+    # covers, in both the driver and the reference
+    monkeypatch.setattr(rmc, "RELAXATION", 1.0)
+    check_rmc_path(INSTANCES[0], "qr", obs_frac)
 
 
 def test_rmc_csr_path_over_row_blocks_matches_dense_loop():

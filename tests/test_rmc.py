@@ -381,6 +381,29 @@ class TestRangeStart:
         assert not np.any(res.low_rank())
 
 
+FRAGILE_SEEDS = range(100, 133)
+# Seeds of the fragile shape that still end above relerr 1e-3, though the
+# convex optimum there equals L0 to 1e-12 (ROADMAP items 2 and 3). Without
+# the over-relaxed step seeds 112 and 120 miss it too.
+FRAGILE_MISSES = {124, 125, 126}
+
+
+class TestFragileShape:
+    """250^2, rank 3, 5% spikes, 20% observed, lambda = 0.7 sqrt(50), d = 6:
+    a shape on which the factored solver is known to stop short of L0."""
+
+    @pytest.mark.parametrize("seed", [
+        pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=(
+            "ends above relerr 1e-3 where the convex optimum is L0: a stop "
+            "short of L*, to be certified and measured by ROADMAP items 2-3")))
+        if seed in FRAGILE_MISSES else seed for seed in FRAGILE_SEEDS])
+    def test_recovers(self, seed):
+        p = planted(250, 250, spike_frac=0.05, obs_frac=0.2, seed=seed)
+        res = solve_rmc(p.d_obs, p.mask,
+                        SolverConfig(lam=0.7 * np.sqrt(50), d=6))
+        assert relative_error(res.low_rank(), p.l0) <= 1e-3
+
+
 class TestSolveRpca:
     def test_zero_input(self):
         res = solve_rpca(np.zeros((6, 6)), SolverConfig(d=2))

@@ -8,8 +8,10 @@ count and milliseconds per iteration of each solve. It also prints how long
 triplet file ("user item rating", "u::i::r::t", or CSV); without it a rank-5
 preference matrix is synthesized as "u::i::r::t" lines, 80 users by 60 items
 at 30% density, or --synthetic-lines N of them on a MovieLens-1M-shaped
-matrix scaled to N (6040 x 3706 at 10^6 lines). Pass --ranks with no value
-to time the ingestion alone:
+matrix scaled to N (6040 x 3706 at 10^6 lines). The last line sums it up:
+the baseline, the test RMSE and iterations at each d, and the d whose solve
+did not converge, or "none"; the exit status is 1 when there is such a d.
+Pass --ranks with no value to time the ingestion alone:
 
     python3 scripts/run_ratings_benchmark.py --synthetic-lines 1000000 --ranks
 """
@@ -87,16 +89,25 @@ def main(argv=None):
     baseline = rmse(np.broadcast_to(global_mean, train.shape), ds.test)
     print(f"global-mean baseline RMSE: {baseline:.4f}")
 
+    solves, unconverged = [], []
     for d in args.ranks:
         cfg = SolverConfig(lam=args.lam, d=d, tol=1e-6, max_iter=800)
         start = time.perf_counter()
         res = solve_mc(train, mask, cfg)
         per_iter_ms = 1e3 * (time.perf_counter() - start) / res.iterations
         pred = np.clip(res.low_rank(), 1.0, 5.0)
-        print(f"d={d:>3}: test RMSE {rmse(pred, ds.test):.4f} "
+        test_rmse = rmse(pred, ds.test)
+        print(f"d={d:>3}: test RMSE {test_rmse:.4f} "
               f"({res.iterations} iterations, {per_iter_ms:.2f} ms/iteration, "
               f"{res.termination})")
+        solves.append(f"d={d} {test_rmse:.4f} in {res.iterations}")
+        if res.termination != "converged":
+            unconverged.append(str(d))
+    print(f"baseline {baseline:.4f}; test RMSE and iterations: "
+          f"{', '.join(solves) or 'no solve'}; unconverged d: "
+          f"{' '.join(unconverged) or 'none'}")
+    return 1 if unconverged else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

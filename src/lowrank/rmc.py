@@ -18,26 +18,30 @@ W = D - L + kappa C_prev on Omega, robust completion's step is
 C = clip(W, -1/alpha, 1/alpha), and the sparse part is S = W - C (W
 soft-thresholded by 1/alpha). So Y = alpha C has |Y| <= 1 on Omega and
 Y = sign(S) wherever S is nonzero, and ||S||_1 = <Y, S>. Plain completion's
-step is C = W / (1 + alpha). For both Z - L = C - kappa C_prev. Y itself is
-formed only for the result and for a callback that reads it. The nuclear
-norm in the objective is the sum of the singular values that ``svt``
-returns; no second SVD is taken.
+step is C = W / (1 + alpha), and it leaves Y = D - Z on Omega, that is
+Z = D - alpha C, after every step. Unrelaxed, Z - L = C - kappa C_prev for
+both. Y itself is formed only for the result and for a callback that reads
+it. The nuclear norm in the objective is the sum of the singular values
+that ``svt`` returns; no second SVD is taken.
 
-From iteration 2 on, the first whose Z_prev came from a step, robust
-completion's step is over-relaxed (Boyd et al., section 3.4.3; Eckstein and
-Bertsekas, "On the Douglas-Rachford Splitting Method and the Proximal Point
-Algorithm for Maximal Monotone Operators", Math. Programming 1992): the
-Z-update and the dual step take L^ = gamma L + (1 - gamma) Z_prev in place
-of L on Omega, with gamma = RELAXATION. As Z_prev = D - S_prev there,
-W = gamma (D - L) + (1 - gamma) S_prev + kappa C_prev, and C and S are
+From iteration 2 on, the first whose Z_prev came from a step, both steps
+are over-relaxed (Boyd et al., section 3.4.3; Eckstein and Bertsekas, "On
+the Douglas-Rachford Splitting Method and the Proximal Point Algorithm for
+Maximal Monotone Operators", Math. Programming 1992): the Z-update and the
+dual step take L^ = gamma L + (1 - gamma) Z_prev in place of L on Omega,
+with gamma = RELAXATION. For robust completion Z_prev = D - S_prev there,
+so W = gamma (D - L) + (1 - gamma) S_prev + kappa C_prev, and C and S are
 clip(W, -1/alpha, 1/alpha) and W - C as before, so the conditions on Y
-above still hold. The residual Z - L = D - L - S is measured from L, not
-from L^, so ||Z - L|| is still the residual and the next E is still
-(Z - L) + kappa_next C. Off Omega Z = L is kept, so P still equals the
-previous product there. The factor updates, the penalty schedule and the
-stop test are those of the unrelaxed scheme. The source paper's
-convergence analysis covers only that scheme, gamma = 1, which iteration 1
-runs.
+above still hold. For plain completion Z_prev = D - kappa alpha C_prev, so
+W = gamma (D - L) + kappa (1 + (1 - gamma) alpha) C_prev with no Z kept,
+and C = W / (1 + alpha) as before; one body of six elementwise passes and
+one dot product serves every gamma. The residual, Z - L = D - L - S or
+D - L - alpha C, is measured from L, not from L^, so ||Z - L|| is still
+the residual and the next E is still (Z - L) + kappa_next C. Off Omega
+Z = L is kept, so P still equals the previous product there. The factor
+updates, the penalty schedule and the stop test are those of the
+unrelaxed scheme. The source paper's convergence analysis covers only that
+scheme, gamma = 1, which iteration 1 runs.
 
 Off Omega the multiplier stays zero and the target P equals the previous
 product U V^T, so P differs from that product only on Omega. The two products
@@ -56,9 +60,10 @@ values are the Omega vector itself: its two products cost O(|Omega| d), and
 the loop allocates no m x n array. Above the cut, E is a dense m x n buffer,
 the loop's one m x n array, and its products are GEMMs of width d. The rest
 is O(|Omega|) elementwise work on vectors held in buffers allocated once:
-per iteration, nine passes that each write one such vector (eight in the
-unrelaxed first iteration) and two reductions. The step's passes and its
-reduction run span by span, over contiguous spans of Omega of at most
+per iteration, passes that each write one such vector, nine for robust
+completion (eight in its unrelaxed first iteration) and eight for plain
+completion, and two reductions. The step's passes and its reduction run
+span by span, over contiguous spans of Omega of at most
 STEP_ENTRIES entries, so that the slices it streams stay in L2 between its
 passes; the step is elementwise, so the spans change only the rounding of
 its data term. L on Omega, the
@@ -125,13 +130,18 @@ BLOCK_ENTRIES = 2**16
 # span whose six slices fit in L2.
 STEP_ENTRIES = 2**15
 
-# Robust completion's over-relaxation factor gamma (``_robust_step``),
-# applied from iteration 2 on. One BLAS thread, median iterations at
-# gamma = 1, 1.4, 1.5, 1.6 and 1.7: at the CLI's 500^2, rank 10, 70%
-# observed, default lambda, d = 20 (seeds 1-30) 30, 26, 25, 26 and 29; at
-# 1000^2, 20% observed (seeds 1-30) 74.5, 71, 70.5, 69 and 69; at 250^2, 20%
-# observed, d = 6 (seeds 100-132) 81, 76, 76, 74 and 73, with 5, 3, 3, 3 and
-# 3 seeds above relerr 1e-3. 1 - gamma = -0.5 also scales S_prev exactly.
+# The over-relaxation factor gamma of both completion steps
+# (``_robust_step``, ``_mc_step``), applied from iteration 2 on. One BLAS
+# thread, median iterations of robust completion at gamma = 1, 1.4, 1.5, 1.6
+# and 1.7: at the CLI's 500^2, rank 10, 70% observed, default lambda, d = 20
+# (seeds 1-30) 30, 26, 25, 26 and 29; at 1000^2, 20% observed (seeds 1-30)
+# 74.5, 71, 70.5, 69 and 69; at 250^2, 20% observed, d = 6 (seeds 100-132)
+# 81, 76, 76, 74 and 73, with 5, 3, 3, 3 and 3 seeds above relerr 1e-3.
+# Plain completion on perfbench's mc-ratings model (1000 x 500, rank 5, 5%
+# observed, lambda = 0.5, d = 10, seeds 3000-3029) at gamma = 1, 1.3, 1.5
+# and 1.7: 91, 77, 73 and 69. One value serves both, as 1.7 costs robust
+# completion four iterations at the CLI's shape. 1 - gamma = -0.5 also
+# scales S_prev exactly.
 RELAXATION = 1.5
 
 # The once-only rank adjustment is first evaluated at this iteration.
@@ -318,6 +328,13 @@ def _admm(d_obs, mask, cfg, step, robust, stop=None, u_scheme="qr",
     - ``relax``: an over-relaxation factor, passed to ``step`` as its
       ``gamma`` from iteration 2 on, the first whose Z_prev came from a
       step; 1 leaves every step unrelaxed and calls ``step`` without it.
+      Robust completion's step reads Z_prev = D - S_prev from the S in
+      ``work``. Plain completion's rebuilds it from ``c_prev``, as its
+      every step leaves Z = D - alpha C, and forms
+      W = gamma (D - L) + kappa (1 + (1 - gamma) alpha) C_prev in six
+      elementwise passes and one dot product. Both write Z - L measured
+      from L, not from L^, into ``gap``. The source paper's convergence
+      analysis covers only relax = 1.
 
     U starts as the range finder's basis of E_0 = D on Omega, the Q of the
     thin QR of E_0 G for a seeded n x d Gaussian G, and the same load of E_0
@@ -470,20 +487,29 @@ def _robust_step(data, low, c_prev, kappa, alpha, c, gap, work, gamma=1.0):
     return alpha * float(np.dot(work, c))
 
 
-def _mc_step(data, low, c_prev, kappa, alpha, c, gap, work):
+def _mc_step(data, low, c_prev, kappa, alpha, c, gap, work, gamma=1.0):
     """Plain completion's step on Omega, in ``_admm``'s contract.
 
-    On Omega Z = (D + alpha L - Y_prev) / (1 + alpha) and
-    Y = Y_prev + alpha (Z - L), so with W = D - L + Y_prev / alpha the new
-    Y / alpha is C = W / (1 + alpha), and Z - L = C - Y_prev / alpha. The
-    data term is ||D - L||^2 / 2 on Omega.
+    On Omega Z = (D + alpha L^ - Y_prev) / (1 + alpha) and
+    Y = Y_prev + alpha (Z - L^), with L^ = gamma L + (1 - gamma) Z_prev, so
+    with W = D - L^ + Y_prev / alpha the new Y / alpha is C = W / (1 + alpha),
+    and Y = D - Z: Z = D - alpha C on Omega after every step. So Z_prev is
+    D - kappa alpha C_prev, rebuilt from ``c_prev`` with no Z kept, and
+    W = gamma (D - L) + kappa (1 + (1 - gamma) alpha) C_prev. Z - L =
+    D - L - alpha C is measured from L, not from L^, so the residual and the
+    next E keep their meaning. The data term is ||D - L||^2 / 2 on Omega.
+    Six elementwise passes and one dot product, for every ``gamma``; 1, the
+    unrelaxed step, is the only value the source paper's convergence
+    analysis covers.
     """
-    np.multiply(c_prev, kappa, out=gap)              # Y_prev / alpha
-    np.subtract(data, low, out=work)
-    fit = 0.5 * float(np.dot(work, work))
-    work += gap                                      # W
-    np.divide(work, 1.0 + alpha, out=c)
-    np.subtract(c, gap, out=gap)
+    np.subtract(data, low, out=gap)                  # D - L
+    fit = 0.5 * float(np.dot(gap, gap))
+    np.multiply(c_prev, kappa * (1.0 + (1.0 - gamma) * alpha) / gamma,
+                out=work)
+    work += gap                                      # W / gamma
+    np.multiply(work, gamma / (1.0 + alpha), out=c)
+    np.multiply(c, alpha, out=work)
+    gap -= work                                      # D - L - alpha C
     return fit
 
 
@@ -533,4 +559,4 @@ def solve_mc(d_obs, mask, cfg, iter_callback=None):
                                else None)
 
     return _admm(d_obs, mask, cfg, _mc_step, robust=False, stop=small_change,
-                 iter_callback=iter_callback)
+                 iter_callback=iter_callback, relax=RELAXATION)

@@ -284,8 +284,8 @@ def _pow10_table():
 
 
 _POW10 = _pow10_table()
-# N = head 10^c + tail for the c digits of the third word; head below
-# _LIMIT keeps N below 2^62.
+# N = head 10^c + tail for the c digits of the third word. Below _LIMIT
+# head keeps N below 2^62; at it N may or may not be, and is below 2^63.
 _SCALE = [10 ** np.clip(_SPAN - 8 * i, 0, 8) for i in range(3)]
 _LIMIT = (1 << 62) // _SCALE[2]
 _FRACTION = _U64((1 << 52) - 1)
@@ -344,10 +344,11 @@ def _decimal(buf, starts, lengths):
                    for i in range(3)))
     head = v[0] * _SCALE[1].take(digits)
     head += v[1]
-    ok = head < _LIMIT.take(digits)
+    ok = head <= _LIMIT.take(digits)
     ok &= (digits >= 1) & (n <= 24)
     big = head * _SCALE[2].take(digits)
     big += v[2]
+    ok &= big < 1 << 62
     flags = bad[0] | bad[1]
     flags |= bad[2]
     q = -fraction

@@ -320,15 +320,87 @@ def test_relaxed_step_matches_reference(gamma, seed, size, log_alpha, growth,
     assert abs(term - want["term"]) <= ULPS * scale.sum()
 
 
-def test_first_iteration_is_unrelaxed(monkeypatch):
+def reference_relaxed_mc_step(data, low, z_prev, y_prev, alpha, gamma):
+    """The over-relaxed plain completion step as the ADMM update with
+    L^ = gamma L + (1 - gamma) Z_prev and Z_prev stored: Z, Y, Z - L
+    measured from L, and ||D - L||^2 / 2."""
+    low_hat = gamma * low + (1.0 - gamma) * z_prev
+    z = (data + alpha * low_hat - y_prev) / (1.0 + alpha)
+    y = y_prev + alpha * (z - low_hat)
+    return {"z": z, "y": y, "gap": z - low,
+            "term": 0.5 * float(np.sum((data - low) ** 2))}
+
+
+@pytest.mark.parametrize("gamma", [1.3, rmc.RELAXATION, 1.7])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 400),
+       log_alpha=st.floats(-3, 3), growth=st.sampled_from([1.0, 1.1, 1.5]),
+       log_level=st.floats(-2, 2))
+def test_relaxed_mc_step_matches_reference(gamma, seed, size, log_alpha,
+                                           growth, log_level):
+    alpha_prev = 10.0**log_alpha
+    alpha = growth * alpha_prev
+    data, low, c_prev = draw(seed, size, alpha_prev, 10.0**log_level, 0.0)
+    # every plain completion step leaves Y = D - Z on Omega
+    z_prev = data - alpha_prev * c_prev
+    c, gap, work = (np.empty_like(data) for _ in range(3))
+    term = _mc_step(data, low, c_prev, alpha_prev / alpha, alpha, c, gap,
+                    work, gamma=gamma)
+    want = reference_relaxed_mc_step(data, low, z_prev, alpha_prev * c_prev,
+                                     alpha, gamma)
+    scale = gamma * (np.abs(data) + np.abs(low)) + (gamma - 1.0) * (
+        np.abs(data) + np.abs(z_prev) + np.abs(low)) + \
+        (1.0 + (gamma - 1.0) * alpha) * alpha_prev / alpha * np.abs(c_prev)
+    assert np.all(np.abs(gap - want["gap"]) <= ULPS * scale)
+    assert np.all(np.abs(low + gap - want["z"]) <= ULPS * scale)
+    y_scale = max(alpha, 1.0) * scale + alpha_prev * np.abs(c_prev)
+    assert np.all(np.abs(alpha * c - want["y"]) <= ULPS * y_scale)
+    dev = np.abs(data) + np.abs(low)
+    assert abs(term - want["term"]) <= ULPS * float(np.dot(dev, dev))
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("obs_frac", [DENSE_OBS, CSR_OBS])
+def test_mc_multiplier_is_data_minus_auxiliary(obs_frac, relaxed,
+                                               monkeypatch):
+    # The identity the plain completion step rests on: after every step
+    # Y = D - Z on Omega, with Y the dual step Y_prev + alpha (Z - L^) from
+    # the Z that the step reports. The relaxed step rebuilds Z_prev from it.
+    if not relaxed:
+        monkeypatch.setattr(rmc, "RELAXATION", 1.0)
+    gamma = rmc.RELAXATION
+    p = planted(obs_frac)
+    marker = p.mask.marker
+    data = p.d_obs[marker]
+    snaps = []
+    res = solve_mc(p.d_obs, p.mask, SolverConfig(lam=1.0, d=5),
+                   iter_callback=lambda it: snaps.append(
+                       (it.record.alpha, (it.u @ it.v.T)[marker],
+                        (np.abs(it.u) @ np.abs(it.v.T))[marker],
+                        it.s[marker], it.y[marker])))
+    assert len(snaps) == res.iterations >= 10
+    z_prev, y_prev = None, np.zeros_like(data)
+    # |U| |V|^T bounds the rounding of L, which the driver evaluates in
+    # another grouping
+    for k, (alpha, low, low_abs, z, y) in enumerate(snaps, start=1):
+        low_hat = low if k == 1 else gamma * low + (1.0 - gamma) * z_prev
+        dual = y_prev + alpha * (z - low_hat)
+        scale = np.abs(data) + np.abs(low) + np.abs(z) + np.abs(y)
+        assert np.all(np.abs(z + y - data) <= ULPS * scale), k
+        scale += np.abs(y_prev) + alpha * (np.abs(low_hat) + np.abs(z) +
+                                           gamma * low_abs)
+        assert np.all(np.abs(dual - y) <= ULPS * scale), k
+        z_prev, y_prev = z, y
+
+
+def check_first_iteration_is_unrelaxed(solve, cfg, monkeypatch):
     # the relaxation starts at iteration 2, the first whose Z_prev came from
     # a step: iteration 1 is the unrelaxed scheme's, bit for bit
     p = planted(DENSE_OBS)
-    cfg = SolverConfig(lam=0.7 * np.sqrt(80 * DENSE_OBS), d=5)
 
     def path():
         snaps = []
-        solve_rmc(p.d_obs, p.mask, cfg, iter_callback=lambda it: snaps.append(
+        solve(p.d_obs, p.mask, cfg, iter_callback=lambda it: snaps.append(
             (it.u.tobytes(), it.v.tobytes(), it.s.tobytes(), it.y.tobytes())))
         return snaps
 
@@ -337,6 +409,17 @@ def test_first_iteration_is_unrelaxed(monkeypatch):
     unrelaxed = path()
     assert relaxed[0] == unrelaxed[0]
     assert relaxed[1][2:] != unrelaxed[1][2:]
+
+
+def test_first_iteration_is_unrelaxed(monkeypatch):
+    check_first_iteration_is_unrelaxed(
+        solve_rmc, SolverConfig(lam=0.7 * np.sqrt(80 * DENSE_OBS), d=5),
+        monkeypatch)
+
+
+def test_mc_first_iteration_is_unrelaxed(monkeypatch):
+    check_first_iteration_is_unrelaxed(solve_mc, SolverConfig(lam=1.0, d=5),
+                                       monkeypatch)
 
 
 @pytest.mark.parametrize("level, clipped", [(1e3, True), (1e-3, False)])

@@ -657,12 +657,25 @@ class TestKernelReadsEveryForm:
         assert_reads_as_float(path)
         assert refused and sum(refused) == 0
 
+    def test_nineteen_and_twenty_digits_up_to_two_to_the_62(self, tmp_path,
+                                                            refused):
+        # N below 2^62 whose first 16 digits are at their limit, 2^62 // 10^c
+        # for the c digits after them; 2^62 itself is left to float
+        tokens = ["4611686018427387648e0", "4611686018427387647",
+                  "4611686018427387903", "-4611686018427387000",
+                  "04611686018427387903", "+4611686018427387.903e3",
+                  str(2 ** 62)]
+        path = tmp_path / "m.txt"
+        write_tokens(path, tokens, len(tokens))
+        assert_reads_as_float(path)
+        assert refused == [1]
+
 
 def exact_ties():
-    """Tokens of N 10^q, N < 4e18 and q >= 0, that are exact midpoints
+    """Tokens of N 10^q, N < 2^62 and q >= 0, that are exact midpoints
     between two neighbouring doubles: M 2^a for an odd 54-bit M = K 5^q,
     from 2^53 up to 2^79, 1e23 among them. Each is written as its integer
-    digits where those are below 4e18, as N e q, and in "%.*e" form, with
+    digits where those are below 2^62, as N e q, and in "%.*e" form, with
     either sign."""
     rng = np.random.default_rng(11)
     tokens = []
@@ -676,13 +689,13 @@ def exact_ties():
             for a in {q, q + 1, (62 - k.bit_length()) // 2 + q,
                       min(62 - k.bit_length() + q, 25)}:
                 n = k << (a - q)
-                if n >= 4 * 10 ** 18 or k * five << a >= 2 ** 79:
+                if n >= 2 ** 62 or k * five << a >= 2 ** 79:
                     continue
                 sign = str(rng.choice(["", "-"]))
                 digits = str(n)
                 point = f"{digits[0]}.{digits[1:]}e+{q + len(digits) - 1}"
                 tokens += [f"{sign}{digits}e{q}", sign + point]
-                if k * five << a < 4 * 10 ** 18:
+                if k * five << a < 2 ** 62:
                     tokens.append(f"{sign}{k * five << a}")
     return tokens
 

@@ -14,13 +14,14 @@ iterations on average for the driver, 41.1 for ``p @ v``). So the count
 above the true rank is compared with ``factored_rmc``, the dense loop in the
 driver's grouping, and every other check with the dense products; that the
 driver's products equal ``p @ v`` and ``p.T @ u`` within rounding is checked
-on its own. ``dense_rmc`` takes the driver's over-relaxation
-(``rmc.RELAXATION``, read at each call) from iteration 2 on, so that the two
-remain two implementations of one algorithm; one check runs both at 1, the
-unrelaxed scheme. The RMC and MC checks run on both sides of
-``SPARSE_DENSITY``: above it the driver takes its two products with a dense
-m x n buffer, below it with a CSR array over Omega. Both evaluate U V^T on
-Omega by row blocks, and one instance on each side spans several blocks.
+on its own. ``dense_rmc`` and ``dense_mc`` take the driver's
+over-relaxation (``rmc.RELAXATION``, read at each call) from iteration 2 on,
+so that the two remain two implementations of one algorithm; one check per
+solver runs both at 1, the unrelaxed scheme. The RMC and MC checks run on
+both sides of ``SPARSE_DENSITY``: above it the driver takes its two products
+with a dense m x n buffer, below it with a CSR array over Omega. Both
+evaluate U V^T on Omega by row blocks, and one instance on each side spans
+several blocks.
 """
 
 import tracemalloc
@@ -152,8 +153,12 @@ def factored_rmc(d_obs, mask, cfg):
 
 
 def dense_mc(d_obs, mask, cfg, iter_callback=None):
-    """Plain completion with every iterate held as a dense m x n matrix."""
+    """Plain completion with every iterate held as a dense m x n matrix.
+    From iteration 2 on, the auxiliary update and the dual step take
+    L^ = gamma L + (1 - gamma) aux_prev in place of L on Omega, and the
+    residual is measured from L."""
     m, n = d_obs.shape
+    gamma = rmc.RELAXATION
     data, alpha, threshold = _start(d_obs, mask, cfg, robust=False)
     marker = mask.marker
     lam = cfg.resolve_lambda(m, n)
@@ -169,11 +174,14 @@ def dense_mc(d_obs, mask, cfg, iter_callback=None):
             u = orthonormal_factor(p @ v, "qr")
         v, _, _ = svt(p.T @ u, lam / alpha)
         low_rank = u @ v.T
-        aux = np.where(marker, (data + alpha * low_rank - y) / (1.0 + alpha),
+        low_hat = low_rank
+        if k > 1:                              # L^ on Omega
+            low_hat = np.where(marker, gamma * low_rank + (1.0 - gamma) * aux,
+                               low_rank)
+        aux = np.where(marker, (data + alpha * low_hat - y) / (1.0 + alpha),
                        low_rank - y / alpha)
-        residual_mat = aux - low_rank
-        y = y + alpha * residual_mat
-        residual = float(np.linalg.norm(residual_mat))
+        y = y + alpha * (aux - low_hat)
+        residual = float(np.linalg.norm(aux - low_rank))
         objective = 0.5 * float(
             np.sum((data[marker] - low_rank[marker]) ** 2)
         ) + lam * nuclear_norm(v)
@@ -308,6 +316,15 @@ def test_unrelaxed_rmc_matches_dense_loop_every_iteration(obs_frac,
     # covers, in both the driver and the reference
     monkeypatch.setattr(rmc, "RELAXATION", 1.0)
     check_rmc_path(INSTANCES[0], "qr", obs_frac)
+
+
+@pytest.mark.parametrize("obs_frac", [DENSE_OBS, CSR_OBS])
+def test_unrelaxed_mc_matches_dense_loop_every_iteration(obs_frac,
+                                                         monkeypatch):
+    # gamma = 1, the scheme that the source paper's convergence analysis
+    # covers, in both the driver and the reference
+    monkeypatch.setattr(rmc, "RELAXATION", 1.0)
+    check_mc_path(INSTANCES[0], obs_frac)
 
 
 def test_rmc_csr_path_over_row_blocks_matches_dense_loop():
